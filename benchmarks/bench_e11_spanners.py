@@ -6,15 +6,13 @@ reduction checked exhaustively, and the transferred uCFG lower bound
 (exponential in ``|S|``).
 
 Membership checks route through the streaming extraction pipeline's
-compiled packed scanner (docs/EXTRACT.md) when ``E11_EXTRACT_PIPELINE=1``
-is set; the legacy per-document ``is_column_match`` stays as the parity
-check either way, and ``test_e11_streaming_pipeline_parity`` asserts the
-chunked pipeline agrees with it on a randomized stream unconditionally.
+compiled packed scanner (docs/EXTRACT.md), with the legacy per-document
+``is_column_match`` asserted word by word as the parity check, and
+``test_e11_streaming_pipeline_parity`` asserts the chunked pipeline
+agrees with it on a randomized stream.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.extract import StreamSpec, compile_scanner, scan_stream
 from repro.extract.spec import relation_pairs
@@ -31,22 +29,18 @@ from repro.util.tables import Table, format_int
 from repro.words.alphabet import AB
 from repro.words.ops import all_words
 
-USE_PIPELINE = os.environ.get("E11_EXTRACT_PIPELINE") == "1"
-
 
 def _match_checker(c: int, w: int, cols: list[int]):
-    """Membership in M(c, w, S): compiled scanner or legacy brute force."""
-    if USE_PIPELINE:
-        scanner = compile_scanner(c, w, cols, relation_pairs("match", w))
+    """Membership in M(c, w, S) through the compiled scanner."""
+    scanner = compile_scanner(c, w, cols, relation_pairs("match", w))
 
-        def check(word: str) -> bool:
-            member = scanner.accepts(word)
-            # Legacy parity: the brute-force path must agree word by word.
-            assert member == is_column_match(word, c, w, cols)
-            return member
+    def check(word: str) -> bool:
+        member = scanner.accepts(word)
+        # Legacy parity: the brute-force path must agree word by word.
+        assert member == is_column_match(word, c, w, cols)
+        return member
 
-        return check
-    return lambda word: is_column_match(word, c, w, cols)
+    return check
 
 
 def _size_sweep() -> Table:

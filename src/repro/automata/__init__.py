@@ -20,6 +20,7 @@ from repro.automata.packed import (
     as_packed_dfa,
     as_packed_nfa,
     packed_determinise,
+    packed_fixed_length_minimal,
     packed_is_unambiguous,
     packed_minimise,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "as_packed_dfa",
     "packed_determinise",
     "packed_minimise",
+    "packed_fixed_length_minimal",
     "packed_is_unambiguous",
     "determinise",
     "count_dfa_words_of_length",

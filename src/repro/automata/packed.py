@@ -60,6 +60,7 @@ __all__ = [
     "chunked_step_fn",
     "packed_determinise",
     "packed_minimise",
+    "packed_fixed_length_minimal",
     "packed_is_unambiguous",
     "transfer_counts",
     "nfa_transfer_counts",
@@ -462,6 +463,28 @@ def packed_determinise(pnfa: PackedNFA) -> PackedDFA:
 # ----------------------------------------------------------------------
 
 
+def _bfs_order(
+    start: int, successors: Sequence[Sequence[int]]
+) -> tuple[list[int], dict[int, int]]:
+    """The canonical numbering of a quotient DFA: BFS from ``start``.
+
+    ``successors[q]`` lists ``q``'s successor ids in alphabet order.
+    Returns the ids in discovery order and the ``id -> new index`` map;
+    both minimisers number their output this way, which is what makes
+    their tables byte-identical.
+    """
+    relabel = {start: 0}
+    order = [start]
+    position = 0
+    while position < len(order):
+        for nxt in successors[order[position]]:
+            if nxt not in relabel:
+                relabel[nxt] = len(order)
+                order.append(nxt)
+        position += 1
+    return order, relabel
+
+
 def packed_minimise(pdfa: PackedDFA) -> PackedDFA:
     """The minimal complete DFA of the same language, Hopcroft-style.
 
@@ -560,22 +583,191 @@ def packed_minimise(pdfa: PackedDFA) -> PackedDFA:
         [block_of[ctables[s][(block & -block).bit_length() - 1]] for s in range(n_symbols)]
         for block in blocks
     ]
-    relabel = {block_of[initial]: 0}
-    order = [block_of[initial]]
-    position = 0
-    while position < len(order):
-        block_id = order[position]
-        for s in range(n_symbols):
-            succ = block_succ[block_id][s]
-            if succ not in relabel:
-                relabel[succ] = len(order)
-                order.append(succ)
-        position += 1
+    order, relabel = _bfs_order(block_of[initial], block_succ)
     out_tables = [[relabel[block_succ[block_id][s]] for block_id in order] for s in range(n_symbols)]
     out_accepting = mask_of(
         relabel[block_id] for block_id in order if blocks[block_id] & accepting
     )
     return PackedDFA(pdfa.alphabet, len(order), out_tables, 0, out_accepting)
+
+
+# ----------------------------------------------------------------------
+# Kernel 2b: layered minimal DFA of a fixed-length language
+# ----------------------------------------------------------------------
+
+
+def _coaccessible(pre: Sequence[Sequence[int]], accepting_mask: int) -> int:
+    """The mask of states with a path into ``accepting_mask``.
+
+    ``pre`` is :meth:`PackedNFA.predecessor_tables`; each round folds
+    only the states added by the previous one.
+    """
+    coaccessible = frontier = accepting_mask
+    while frontier:
+        grown = 0
+        for rows in pre:
+            grown |= fold_rows(rows, frontier)
+        frontier = grown & ~coaccessible
+        coaccessible |= frontier
+    return coaccessible
+
+
+def _phase_graded_layers(pnfa: PackedNFA, length: int) -> list[int]:
+    """The useful states of ``pnfa`` grouped by phase, checked fixed-length.
+
+    Useful = accessible and co-accessible.  ``layers[t]`` is the mask of
+    useful states reached after exactly ``t`` symbols.  Raises
+    :class:`AutomatonError` unless every useful state has exactly one
+    phase and accepting states sit only at phase ``length`` — together
+    these say the language is a subset of ``Σ^length``.  An empty
+    language gives no layers.
+    """
+    if length < 0:
+        raise AutomatonError(f"length must be non-negative, got {length}")
+    coaccessible = _coaccessible(pnfa.predecessor_tables(), pnfa.accepting_mask)
+    layers: list[int] = []
+    seen = 0
+    layer = pnfa.initial_mask & coaccessible
+    while layer:
+        t = len(layers)
+        if t > length:
+            raise AutomatonError(f"a useful state is reachable after {t} > {length} symbols")
+        if layer & seen:
+            state = (layer & seen).bit_length() - 1
+            raise AutomatonError(f"useful state {state} is reachable at two phases")
+        if t < length and layer & pnfa.accepting_mask:
+            raise AutomatonError(f"accepting state at phase {t}, not {length}")
+        seen |= layer
+        layers.append(layer)
+        successors = 0
+        for s in range(len(pnfa.alphabet)):
+            successors |= pnfa.step(layer, s)
+        layer = successors & coaccessible
+    return layers
+
+
+def packed_fixed_length_minimal(pnfa: PackedNFA, length: int) -> tuple[PackedDFA, int]:
+    """The minimal complete DFA of a language inside ``Σ^length``, layer by layer.
+
+    Returns ``(dfa, macro_states)``: ``dfa`` is ``to_key()``-equal to
+    ``packed_minimise(packed_determinise(pnfa))``, and ``macro_states``
+    counts the macro-states the construction built (the empty one
+    included).  Four steps:
+
+    1. trim to useful states and split them into phase layers
+       (:func:`_phase_graded_layers` raises :class:`AutomatonError` if
+       the language is not fixed-length ``length``);
+    2. a forward subset construction one layer at a time, each layer's
+       macro-states being masks over that layer's states only.  Marked
+       *universal*, bottom-up, are the phase-``length`` states and every
+       state each of whose symbols has a universal successor; each has
+       right language all of ``Σ^(length - t)`` (the converse need not
+       hold, and need not for exactness).  A macro-state holding a
+       universal state therefore has the full residual, so it collapses
+       to the layer's universal mask — this is where the subset
+       construction's redundancy goes (a row pair that already matched,
+       say, no longer cares about the rest of the document);
+    3. one backward pass of per-layer signature hashing (Revuz's
+       linear-time minimisation of acyclic DFAs): two macro-states of
+       one layer are equivalent iff their successor classes agree;
+    4. the canonical BFS relabelling of :func:`packed_minimise`.
+
+    No partition refinement runs, and no step ever touches a mask wider
+    than one layer.
+
+    >>> from repro.words import AB
+    >>> delta = {(0, "a"): {1}, (0, "b"): {1, 2}, (1, "a"): {3}, (2, "b"): {3}}
+    >>> pnfa = PackedNFA.from_nfa(NFA(AB, {0, 1, 2, 3}, delta, {0}, {3}))
+    >>> dfa, built = packed_fixed_length_minimal(pnfa, 2)
+    >>> dfa.n_states, built
+    (5, 5)
+    >>> dfa.to_key() == packed_minimise(packed_determinise(pnfa)).to_key()
+    True
+    """
+    n_symbols = len(pnfa.alphabet)
+    layers = _phase_graded_layers(pnfa, length)
+    if not layers:  # empty language: the sink alone
+        return PackedDFA(pnfa.alphabet, 1, [[0] for _ in range(n_symbols)], 0, 0), 1
+    members = [list(iter_bits(layer)) for layer in layers]
+
+    # Local numbering: bit i of a phase-t mask is the i-th state of layer t.
+    # local_tables[t][s][i] = successors of that state on σ_s, in layer t + 1.
+    local_tables: list[list[list[int]]] = []
+    for t in range(length):
+        local_index = {q: i for i, q in enumerate(members[t + 1])}
+        below = layers[t + 1]
+        local_tables.append(
+            [
+                [
+                    mask_of(local_index[r] for r in iter_bits(pnfa.tables[s][q] & below))
+                    for q in members[t]
+                ]
+                for s in range(n_symbols)
+            ]
+        )
+    universal = [0] * (length + 1)
+    universal[length] = (1 << len(members[length])) - 1
+    for t in range(length - 1, -1, -1):
+        below = universal[t + 1]
+        universal[t] = mask_of(
+            i
+            for i in range(len(members[t]))
+            if all(rows[i] & below for rows in local_tables[t])
+        )
+
+    # Forward: macros[t] lists the phase-t macro-states; succ[t][s][k] is
+    # the index in macros[t + 1] of macro k's σ_s-successor (-1 if empty).
+    backend = get_backend()
+    start = (1 << len(members[0])) - 1
+    macros: list[list[int]] = [[universal[0] if start & universal[0] else start]]
+    succ: list[list[list[int]]] = []
+    for t in range(length):
+        absorbing = universal[t + 1]
+        index_of: dict[int, int] = {}
+        index_get = index_of.get
+        found: list[int] = []
+        rows_t: list[list[int]] = []
+        for table in local_tables[t]:
+            step = backend.make_step_fn(table, len(members[t]))
+            row: list[int] = []
+            emit = row.append
+            for macro in macros[t]:
+                nxt = step(macro)
+                if nxt & absorbing:
+                    nxt = absorbing
+                elif not nxt:
+                    emit(-1)
+                    continue
+                macro_id = index_get(nxt)
+                if macro_id is None:
+                    macro_id = index_of[nxt] = len(found)
+                    found.append(nxt)
+                emit(macro_id)
+            rows_t.append(row)
+        macros.append(found)
+        succ.append(rows_t)
+
+    # Backward: class 0 is the sink, class 1 the accepting phase-`length`
+    # residual {ε} (every final macro-state, all universal).  A class's
+    # entry in class_succ is its successor-class signature.
+    sink, final = 0, 1
+    class_succ: list[tuple[int, ...]] = [(sink,) * n_symbols, (sink,) * n_symbols]
+    classes = [final] * len(macros[length])
+    for t in range(length - 1, -1, -1):
+        mapped = [[classes[k] if k >= 0 else sink for k in row] for row in succ[t]]
+        class_of: dict[tuple[int, ...], int] = {}
+        classes = []
+        for signature in zip(*mapped):
+            cls = class_of.get(signature)
+            if cls is None:
+                cls = class_of[signature] = len(class_succ)
+                class_succ.append(signature)
+            classes.append(cls)
+
+    order, relabel = _bfs_order(classes[0], class_succ)
+    out_tables = [[relabel[class_succ[cls][s]] for cls in order] for s in range(n_symbols)]
+    built = sum(len(layer_macros) for layer_macros in macros) + 1
+    return PackedDFA(pnfa.alphabet, len(order), out_tables, 0, 1 << relabel[final]), built
 
 
 # ----------------------------------------------------------------------
@@ -613,16 +805,7 @@ def packed_is_unambiguous(pnfa: PackedNFA) -> bool:
             break
         accessible |= grown
     pre = pnfa.predecessor_tables()
-    coaccessible = pnfa.accepting_mask
-    while True:
-        grown = 0
-        for s in range(n_symbols):
-            grown |= fold_rows(pre[s], coaccessible)
-        grown &= ~coaccessible
-        if not grown:
-            break
-        coaccessible |= grown
-    keep = accessible & coaccessible
+    keep = accessible & _coaccessible(pre, pnfa.accepting_mask)
     if not keep:
         return True  # empty language: no word has two runs
 

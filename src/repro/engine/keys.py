@@ -85,15 +85,22 @@ def cache_key(
 ) -> str:
     """The content-addressed cache key for one job invocation.
 
+    Parameters pass through :func:`canonical_params` first, so a JSON
+    list and the equal tuple give one key — whether the caller holds raw
+    request params (the serve broker's hot-LRU peek) or the canonical
+    tuples the engine stores results under.
+
     >>> cache_key("certificate", {"n": 16}) == cache_key("certificate", {"n": 16})
     True
     >>> cache_key("certificate", {"n": 16}) != cache_key("certificate", {"n": 32})
+    True
+    >>> cache_key("extract.scan", {"columns": [1, 3]}) == cache_key("extract.scan", {"columns": (1, 3)})
     True
     """
     payload = canonical_encode(
         (
             job_name,
-            dict(params),
+            dict(canonical_params(params)),
             code_fingerprint(tuple(source_modules)),
         )
     )

@@ -108,6 +108,14 @@ class TestKeyStability:
             "certificate", {"n": 32}
         )
 
+    def test_list_and_tuple_params_share_a_key(self):
+        """Raw JSON lists and the engine's canonical tuples are one key."""
+        listed = cache_key("extract.scan", {"columns": [1, 3], "w": 2})
+        assert listed == cache_key("extract.scan", {"w": 2, "columns": (1, 3)})
+        nested = cache_key("comm.cover.solve", {"matrix": [[1, 0], [0, 1]]})
+        assert nested == cache_key("comm.cover.solve", {"matrix": ((1, 0), (0, 1))})
+        assert listed != cache_key("extract.scan", {"columns": [1, 4], "w": 2})
+
     def test_fingerprint_changes_with_module_set(self):
         assert code_fingerprint(("repro.core.lower_bound",)) != code_fingerprint(
             ("repro.core.discrepancy",)

@@ -40,6 +40,7 @@ from repro.automata import (
     is_unambiguous_nfa,
     minimise,
     packed_determinise,
+    packed_fixed_length_minimal,
     packed_is_unambiguous,
     packed_minimise,
     trim_nfa,
@@ -50,7 +51,10 @@ from repro.automata.packed import (
     count_words_by_sweep,
     fold_rows,
 )
-from repro.errors import AutomatonError
+from repro.backend import available_backends, use_backend
+from repro.errors import AutomatonError, ReproError
+from repro.extract.compile import column_relation_nfa
+from repro.extract.spec import relation_pairs
 from repro.languages.dfa_ln import ln_match_minimal_dfa, ln_minimal_dfa
 from repro.languages.nfa_ln import ln_match_nfa, ln_nfa_exact
 from repro.words.alphabet import AB, Alphabet
@@ -570,3 +574,140 @@ class TestUsefulStateRestriction:
 
         dfa = DFA(AB, {0}, {}, 0, {0})
         assert count_words_by_power(as_packed_dfa(dfa), 0) == 1
+
+
+def _two_stage(pnfa: PackedNFA) -> PackedDFA:
+    """The reference pipeline the layered kernel must reproduce byte for byte."""
+    return packed_minimise(packed_determinise(pnfa))
+
+
+def _random_column_relation(seed: int) -> tuple[NFA, int]:
+    """A seeded column-relation NFA (c <= 5, w <= 3) and its word length.
+
+    Random column subset (at most 3 columns at w = 3, which keeps the
+    two-stage oracle fast) and 1 to 4 random value pairs.
+    """
+    from itertools import product
+
+    rng = random.Random(seed)
+    w = rng.randint(1, 3)
+    c = rng.randint(1, 5)
+    cols = rng.sample(range(1, c + 1), rng.randint(1, min(c, 3 if w == 3 else 5)))
+    values = ["".join(p) for p in product("ab", repeat=w)]
+    pairs = rng.sample([(x, y) for x in values for y in values], rng.randint(1, 4))
+    return column_relation_nfa(c, w, cols, pairs), 2 * c * w
+
+
+def _random_layered_nfa(seed: int, alphabet: Alphabet = AB) -> tuple[NFA, int]:
+    """A seeded NFA whose useful part is phase-graded, plus useless clutter.
+
+    ``length + 1`` layers of up to 4 states with random forward edges,
+    random initial states in layer 0 and accepting states in the last
+    layer; then a dead state with a self-loop and an unreachable state
+    pointing into the layers — neither is useful, so the kernel must
+    trim them rather than reject the automaton.
+    """
+    rng = random.Random(seed)
+    length = rng.randint(0, 6)
+    layers = [[(t, i) for i in range(rng.randint(1, 4))] for t in range(length + 1)]
+    transitions: dict[tuple[object, str], set[object]] = {}
+    for t in range(length):
+        for q in layers[t]:
+            for symbol in alphabet:
+                targets = {r for r in layers[t + 1] if rng.random() < 0.45}
+                if targets:
+                    transitions[(q, symbol)] = targets
+    dead = ("dead", 0)
+    transitions[(dead, alphabet.symbols[0])] = {dead}
+    for q in rng.sample([q for layer in layers for q in layer], 2 if length else 1):
+        transitions.setdefault((q, alphabet.symbols[-1]), set()).add(dead)
+    stray = ("stray", 0)
+    transitions[(stray, alphabet.symbols[0])] = {layers[-1][0]}
+    states = [q for layer in layers for q in layer] + [dead, stray]
+    initial = {q for q in layers[0] if rng.random() < 0.7} or {layers[0][0]}
+    accepting = {q for q in layers[-1] if rng.random() < 0.6}
+    return NFA(alphabet, states, transitions, initial, accepting), length
+
+
+class TestFixedLengthMinimal:
+    """The layered kernel is ``to_key()``-equal to determinise-then-Hopcroft."""
+
+    def test_random_column_relations(self):
+        for seed in range(150):
+            nfa, length = _random_column_relation(seed)
+            pnfa = PackedNFA.from_nfa(nfa)
+            dfa, built = packed_fixed_length_minimal(pnfa, length)
+            assert dfa.to_key() == _two_stage(pnfa).to_key(), seed
+            assert dfa.n_states <= built, seed
+
+    def test_single_pair_relations(self):
+        for c, w, cols in ((1, 1, [1]), (3, 2, [2]), (4, 3, [1, 4]), (5, 2, [1, 3, 5])):
+            pnfa = PackedNFA.from_nfa(column_relation_nfa(c, w, cols, [("a" * w, "b" * w)]))
+            dfa, _ = packed_fixed_length_minimal(pnfa, 2 * c * w)
+            assert dfa.to_key() == _two_stage(pnfa).to_key(), (c, w, cols)
+
+    def test_ln_exact_family(self):
+        for n in range(1, 9):
+            pnfa = PackedNFA.from_nfa(ln_nfa_exact(n))
+            dfa, _ = packed_fixed_length_minimal(pnfa, 2 * n)
+            assert dfa.to_key() == _two_stage(pnfa).to_key(), n
+
+    def test_random_layered_nfas_with_useless_states(self):
+        for seed in range(120):
+            nfa, length = _random_layered_nfa(seed)
+            pnfa = PackedNFA.from_nfa(nfa)
+            dfa, _ = packed_fixed_length_minimal(pnfa, length)
+            assert dfa.to_key() == _two_stage(pnfa).to_key(), seed
+
+    def test_three_symbol_alphabet(self):
+        for seed in range(40):
+            nfa, length = _random_layered_nfa(seed, Alphabet("abc"))
+            pnfa = PackedNFA.from_nfa(nfa)
+            dfa, _ = packed_fixed_length_minimal(pnfa, length)
+            assert dfa.to_key() == _two_stage(pnfa).to_key(), seed
+
+    def test_empty_language_and_empty_word(self):
+        empty = PackedNFA.from_nfa(NFA(AB, {0, 1}, {(0, "a"): {1}}, {0}, set()))
+        dfa, built = packed_fixed_length_minimal(empty, 1)
+        assert dfa.to_key() == _two_stage(empty).to_key()
+        assert (dfa.n_states, built) == (1, 1)
+        epsilon = PackedNFA.from_nfa(NFA(AB, {0}, {}, {0}, {0}))
+        dfa, _ = packed_fixed_length_minimal(epsilon, 0)
+        assert dfa.to_key() == _two_stage(epsilon).to_key()
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_rejects_variable_length_ln_match_nfa(self, n):
+        with pytest.raises(ReproError, match="two phases"):
+            packed_fixed_length_minimal(PackedNFA.from_nfa(ln_match_nfa(n)), 2 * n)
+
+    @pytest.mark.parametrize("length", [-1, 0, 5, 7, 12])
+    def test_rejects_wrong_length(self, length):
+        with pytest.raises(ReproError):
+            packed_fixed_length_minimal(PackedNFA.from_nfa(ln_nfa_exact(3)), length)
+
+    @pytest.mark.parametrize(
+        "relation,cols,n_states",
+        [
+            ("match", (1, 3), 139),
+            ("leq", (2, 5), 93),
+            ("leq", (1, 3, 4), 201),
+            ("match", (1, 2, 3, 4, 5), 3419),
+        ],
+    )
+    def test_benchmark_query_shapes(self, relation, cols, n_states):
+        """The c=5, w=2 standing queries of perfbench's extract-scan."""
+        pnfa = PackedNFA.from_nfa(column_relation_nfa(5, 2, cols, relation_pairs(relation, 2)))
+        dfa, built = packed_fixed_length_minimal(pnfa, 20)
+        det = packed_determinise(pnfa)
+        assert dfa.n_states == n_states
+        assert dfa.to_key() == packed_minimise(det).to_key()
+        assert built < det.n_states
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_bit_exact_under_every_backend(self, backend):
+        with use_backend(backend):
+            for seed in range(20):
+                nfa, length = _random_column_relation(seed)
+                pnfa = PackedNFA.from_nfa(nfa)
+                dfa, _ = packed_fixed_length_minimal(pnfa, length)
+                assert dfa.to_key() == _two_stage(pnfa).to_key(), (backend, seed)

@@ -106,15 +106,18 @@ class TestBasicEndpoints:
         assert stats["hot"] is None or stats["hot"]["disk"] is None
 
     def test_hot_lru_serves_repeats(self, client):
-        first = client.run("debug.echo", {"value": "repeat-me"})
-        assert first.data["cache"] in ("miss", "off")
-        before = client.stats().data["counters"]["hot_served"]
-        second = client.run("debug.echo", {"value": "repeat-me"})
-        assert second.status == 200
-        assert second.data["cache"] == "hot"
-        assert second.data["result"] == "repeat-me"
-        after = client.stats().data["counters"]["hot_served"]
-        assert after == before + 1
+        # A JSON-list param (extract.scan's `columns`) must hit the hot LRU
+        # too: the broker's peek key has to equal the engine's store key.
+        for value in ("repeat-me", [1, 3, ["nested", 2]]):
+            first = client.run("debug.echo", {"value": value})
+            assert first.data["cache"] in ("miss", "off")
+            before = client.stats().data["counters"]["hot_served"]
+            second = client.run("debug.echo", {"value": value})
+            assert second.status == 200
+            assert second.data["cache"] == "hot", value
+            assert second.data["result"] == value
+            after = client.stats().data["counters"]["hot_served"]
+            assert after == before + 1
 
 
 class TestCoalescing:
