@@ -2,7 +2,7 @@
 
 Times the same seeded workload on every *available* backend — one row
 per primitive family (rank, cover, determinise, count, discrepancy,
-indices, transpose, rect, split) — and cross-checks that all backends
+indices, transpose, rect, split, scan) — and cross-checks that all backends
 return bit-identical results before any timing is trusted.  ``python -m
 repro bench backends`` drives this module and writes
 ``BENCH_backends.json``.
@@ -193,6 +193,33 @@ def _op_split(rng: random.Random):
     return "hopcroft_split", f"{len(preimages)} preimage splits over {n} states", run
 
 
+def _op_scan(rng: random.Random):
+    """Extraction body scan + checksum fold (the ``StreamScanner`` body)."""
+    from repro.extract.compile import compile_scanner
+    from repro.extract.spec import relation_pairs
+
+    compiled = compile_scanner(5, 2, (1, 2, 3, 4, 5), relation_pairs("match", 2))
+    dfa = compiled.dfa
+    n_docs = 10_000
+    body = "".join(rng.choices("ab", k=n_docs * compiled.doc_len))
+    # Kernels are built once per scanner in use, so build them untimed.
+    scans = {
+        name: get_backend(name).make_layered_scan(
+            dfa.tables, dfa.initial, dfa.accepting_mask, compiled.doc_len
+        )
+        for name in available_backends()
+    }
+
+    def run(backend: Backend) -> tuple[int, int]:
+        return backend.fold_indices(scans[backend.name](body), 0, 0)
+
+    workload = (
+        f"scan + fold of {n_docs} docs, {compiled.n_states}-state c=5 w=2 "
+        "five-column query"
+    )
+    return "make_layered_scan", workload, run
+
+
 _OPS = (
     ("rank", _op_rank),
     ("cover", _op_cover),
@@ -203,6 +230,7 @@ _OPS = (
     ("transpose", _op_transpose),
     ("rect", _op_rect),
     ("split", _op_split),
+    ("scan", _op_scan),
 )
 
 

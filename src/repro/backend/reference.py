@@ -18,7 +18,11 @@ verbatim, byte-for-byte in behaviour:
   :meth:`~ReferenceBackend.make_sweep_fn` — the transfer-matrix counting
   arithmetic;
 * :meth:`~ReferenceBackend.make_binary_step` — the CNF bitset
-  binary-rule step of :mod:`repro.kernel.chart`.
+  binary-rule step of :mod:`repro.kernel.chart`;
+* :meth:`~ReferenceBackend.make_layered_scan` /
+  :meth:`~ReferenceBackend.fold_indices` — the document-parallel
+  occupancy walk and the match-set checksum fold of
+  :mod:`repro.extract.scan`.
 
 Other backends subclass this one and override only the kernels they can
 genuinely beat; an inherited method is *definitionally* bit-exact (it is
@@ -30,7 +34,27 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 
-__all__ = ["ReferenceBackend", "fold_rows", "iter_bits"]
+from repro.errors import SymbolError
+
+__all__ = [
+    "ReferenceBackend",
+    "CHECKSUM_MULTIPLIER",
+    "fold_checksum",
+    "fold_rows",
+    "foreign_symbol",
+    "iter_bits",
+]
+
+#: The multiplier of the match-set checksum's Horner fold — the one
+#: definition behind :func:`fold_checksum` and every ``fold_indices``.
+CHECKSUM_MULTIPLIER = 1000003
+_U64 = (1 << 64) - 1
+
+#: Translation table of the reference body scan: ``a`` -> ``0``, ``b`` ->
+#: ``1``, every other ASCII character -> ``?``, so one ``in`` test finds a
+#: foreign character (mapping all of ASCII keeps ``str.translate`` on its
+#: fast path).
+_TO_BITS = str.maketrans({chr(i): {97: "0", 98: "1"}.get(i, "?") for i in range(128)})
 
 
 def iter_bits(mask: int):
@@ -43,6 +67,28 @@ def iter_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def fold_checksum(checksum: int, doc_id: int) -> int:
+    """Fold one matching document id into an order-sensitive checksum.
+
+    Matching ids are always folded in ascending order, so equal
+    checksums certify equal match *sets* without storing documents.
+
+    >>> fold_checksum(fold_checksum(0, 4), 9) == 5 * CHECKSUM_MULTIPLIER + 10
+    True
+    """
+    return (checksum * CHECKSUM_MULTIPLIER + doc_id + 1) & _U64
+
+
+def foreign_symbol(text: str, start: int = 0) -> SymbolError:
+    """The error for the first character of ``text`` outside ``{a, b}``.
+
+    Its offset is shifted by ``start``, the position of ``text`` in the
+    caller's chunk.  Only called once a scan has found such a character.
+    """
+    offset = next(i for i, ch in enumerate(text) if ch not in "ab")
+    return SymbolError(start + offset, text[offset])
 
 
 def fold_rows(table: Sequence[int], mask: int) -> int:
@@ -162,6 +208,83 @@ class ReferenceBackend:
             block_id = block_of[q]
             inside_of[block_id] = inside_of.get(block_id, 0) | 1 << q
         return inside_of
+
+    # -- document-parallel scanning ------------------------------------
+
+    def make_layered_scan(
+        self,
+        tables: Sequence[Sequence[int]],
+        initial: int,
+        accepting_mask: int,
+        doc_len: int,
+    ) -> Callable[[str], int]:
+        """A ``body -> accept mask`` closure for a complete DFA over ``{a, b}``.
+
+        ``tables[0]`` / ``tables[1]`` are the successors on ``a`` / ``b``.
+        ``body`` is a run of whole ``doc_len``-character documents; bit
+        ``d`` of the result is set iff the DFA accepts document ``d``.  A
+        character outside ``{a, b}`` raises
+        :class:`~repro.errors.SymbolError` naming its offset in ``body``.
+
+        The walk: the body is transposed into one bit column per phase
+        (``a`` -> 0, ``b`` -> 1, document ``d`` at bit ``d``), and an
+        occupancy map ``{state: doc-mask}`` advances *all* documents one
+        phase per step, one ``&``/``^`` pair per live state.  Documents
+        entering a sink — a non-accepting state looping to itself on
+        both symbols — drop out of the masks.
+        """
+        n_states = len(tables[0])
+        sink = [
+            not (accepting_mask >> q) & 1 and all(table[q] == q for table in tables)
+            for q in range(n_states)
+        ]
+        table_a, table_b = ([-1 if sink[succ] else succ for succ in table] for table in tables)
+        accept_states = list(iter_bits(accepting_mask))
+
+        def scan(body: str) -> int:
+            n_docs = len(body) // doc_len
+            bits = body.translate(_TO_BITS)
+            if not body.isascii() or "?" in bits:
+                raise foreign_symbol(body)
+            # Occupancy: DFA state -> mask of documents currently in it.
+            occupancy = {initial: (1 << n_docs) - 1}
+            for t in range(doc_len):
+                # Bit-column for phase t: document d contributes bit d.
+                column = bits[t::doc_len]
+                col_bits = int(column[::-1], 2) if "1" in column else 0
+                advanced: dict[int, int] = {}
+                for q, mask in occupancy.items():
+                    on_b = mask & col_bits
+                    on_a = mask ^ on_b
+                    if on_a:
+                        successor = table_a[q]
+                        if successor >= 0:
+                            advanced[successor] = advanced.get(successor, 0) | on_a
+                    if on_b:
+                        successor = table_b[q]
+                        if successor >= 0:
+                            advanced[successor] = advanced.get(successor, 0) | on_b
+                occupancy = advanced
+                if not occupancy:
+                    break
+            accept_mask = 0
+            for q in accept_states:
+                accept_mask |= occupancy.get(q, 0)
+            return accept_mask
+
+        return scan
+
+    def fold_indices(self, mask: int, checksum: int, base: int) -> tuple[int, int]:
+        """``(popcount, checksum)`` after folding ``base + i`` per set bit ``i``.
+
+        The ids are folded in ascending order with :func:`fold_checksum`,
+        so the result equals folding them one at a time.
+        """
+        count = self.popcount(mask)
+        if count:
+            for offset in self.bit_indices(mask):
+                checksum = fold_checksum(checksum, base + offset)
+        return count, checksum
 
     # -- exact linear algebra -----------------------------------------
 

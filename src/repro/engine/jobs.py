@@ -808,6 +808,8 @@ def automata_bench(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
         "repro.backend.numpy_backend",
         "repro.backend.cext",
         "repro.backend.bench",
+        "repro.extract.compile",
+        "repro.extract.spec",
     ),
     description="Time every available kernel backend on each primitive family",
 )

@@ -19,6 +19,7 @@ __all__ = [
     "NotInChomskyNormalFormError",
     "MixedLengthLanguageError",
     "AutomatonError",
+    "SymbolError",
     "RectangleError",
     "CoverBudgetExceeded",
     "PartitionError",
@@ -79,6 +80,20 @@ class MixedLengthLanguageError(ReproError):
 
 class AutomatonError(ReproError):
     """A finite automaton is structurally invalid."""
+
+
+class SymbolError(ReproError):
+    """A scanned text holds a character outside the alphabet ``{a, b}``.
+
+    ``offset`` is the position of the first such character in the text
+    the raiser was handed (a chunk, for :class:`repro.extract.StreamScanner`)
+    and ``char`` the character itself.
+    """
+
+    def __init__(self, offset: int, char: str) -> None:
+        super().__init__(f"character {char!r} at offset {offset} is not 'a' or 'b'")
+        self.offset = offset
+        self.char = char
 
 
 class RectangleError(ReproError):

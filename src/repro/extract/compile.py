@@ -26,8 +26,8 @@ out of the occupancy masks at the sink.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from repro.automata.nfa import NFA
@@ -37,6 +37,7 @@ from repro.automata.packed import PackedDFA, PackedNFA, packed_fixed_length_mini
 # two names on this module by attribute, so they stay importable (and then
 # read zero busy time, showing that compile bypasses the two-stage pipeline).
 from repro.automata.packed import packed_determinise, packed_minimise  # noqa: F401
+from repro.backend import Backend
 from repro.errors import ReproError
 from repro.spanners.csv_match import _check_scenario
 from repro.words.alphabet import AB
@@ -135,6 +136,9 @@ class CompiledScanner:
     layers: tuple[tuple[int, ...], ...]
     nfa_states: int
     det_states: int
+    _scans: dict[str, Callable[[str], int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def doc_len(self) -> int:
@@ -156,6 +160,22 @@ class CompiledScanner:
 
     def accepts(self, document: str) -> bool:
         return self.dfa.accepts(document)
+
+    def layered_scan(self, backend: Backend) -> Callable[[str], int]:
+        """``backend.make_layered_scan`` for this DFA, built on first use.
+
+        ``extract.scan`` builds a ``StreamScanner`` per request or shard,
+        so the kernel (numpy's block tables: a few ms for a 3,419-state
+        DFA) is kept here, one per backend name, for as long as this
+        scanner stays compiled.
+        """
+        scan = self._scans.get(backend.name)
+        if scan is None:
+            dfa = self.dfa
+            scan = self._scans[backend.name] = backend.make_layered_scan(
+                dfa.tables, dfa.initial, dfa.accepting_mask, self.doc_len
+            )
+        return scan
 
     def to_key(self) -> tuple:
         return ("scanner", self.c, self.w, self.columns, self.pairs)

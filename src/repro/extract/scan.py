@@ -8,19 +8,20 @@ Per chunk it splits the text into three parts:
    advances by a scalar walk over the *same* minimal DFA, so a match
    straddling a boundary is found exactly.
 2. **body** — the whole documents fully inside the chunk.  These are
-   scanned *in parallel across documents*: the body is transposed into
-   one bit-column per phase (``a``→0, ``b``→1, document ``d`` at bit
-   ``d``), and a per-state occupancy mask walks the phase layers of the
-   compiled DFA.  Documents that fall into the sink drop out of the
-   masks; after ``doc_len`` phases the accepting occupancy *is* the
-   match mask.  Counting and match-id extraction route through the
-   active :mod:`repro.backend` (``popcount`` / ``bit_indices``).
+   scanned *in parallel across documents* by the backend's
+   ``make_layered_scan`` kernel, which returns the chunk's accept mask
+   (bit ``d`` = document ``d`` matched): the reference occupancy walk
+   over per-phase bit columns, or numpy's block-table gathers.  The
+   backend's ``fold_indices`` then counts the matches and folds their
+   ids into the checksum.
 3. **tail** — the prefix of a document that will finish in a later
    chunk; it becomes the next carried frontier.
 
 Chunking invariant: for any chunk decomposition of the same stream, the
 final ``(docs, matches, checksum, match_ids)`` are identical — the
-boundary walk and the bit-parallel body run the same DFA.
+boundary walk and the bit-parallel body run the same DFA.  A character
+other than ``a``/``b`` anywhere in a chunk raises
+:class:`~repro.errors.SymbolError` with its chunk offset.
 
 Three oracles live here too: :func:`semantic_scan` (per-document brute
 force), :func:`batched_oracle_scan` (grammar-side verification through
@@ -35,6 +36,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.backend import get_backend
+from repro.backend.reference import fold_checksum, foreign_symbol
+from repro.errors import SymbolError
 from repro.grammars.cnf import to_cnf
 from repro.kernel.batch import BatchedRecognizer
 from repro.kernel.chart import recognise_cnf
@@ -52,18 +55,6 @@ __all__ = [
     "batched_oracle_scan",
     "naive_cfg_scan",
 ]
-
-_TO_BITS = str.maketrans("ab", "01")
-_U64 = (1 << 64) - 1
-
-
-def fold_checksum(checksum: int, doc_id: int) -> int:
-    """Fold one matching document id into an order-sensitive checksum.
-
-    Matching ids are always folded in ascending order, so equal
-    checksums certify equal match *sets* without storing documents.
-    """
-    return (checksum * 1000003 + doc_id + 1) & _U64
 
 
 @dataclass
@@ -89,7 +80,17 @@ class ScanState:
 
 
 class StreamScanner:
-    """Feed chunks of a document stream through a compiled scanner."""
+    """Feed chunks of a document stream through a compiled scanner.
+
+    The kernel backend is resolved **once, here**: the active backend
+    (see :func:`repro.backend.get_backend`) when the scanner is built
+    serves every chunk it is fed, so build it inside the
+    ``use_backend`` scope that should run it.  Whole documents go
+    through that backend's ``make_layered_scan`` kernel — built once per
+    (compiled scanner, backend) by :meth:`CompiledScanner.layered_scan`
+    and shared by every ``StreamScanner`` — and its ``fold_indices``;
+    the scalar boundary walk is the same for every backend.
+    """
 
     def __init__(self, compiled: CompiledScanner, *, collect_ids: bool = False):
         self.compiled = compiled
@@ -100,8 +101,8 @@ class StreamScanner:
         self._table_b = dfa.tables[1]
         self._initial = dfa.initial
         self._accepting_mask = dfa.accepting_mask
-        self._accept_states = compiled.accepting
-        self._sink = compiled.sink
+        self._backend = get_backend()
+        self._scan_body = compiled.layered_scan(self._backend)
 
     def new_state(self) -> ScanState:
         return ScanState(
@@ -110,7 +111,13 @@ class StreamScanner:
         )
 
     def feed(self, state: ScanState, chunk: str) -> ScanState:
-        """Consume one chunk (possibly empty) and return the new state."""
+        """Consume one chunk (possibly empty) and return the new state.
+
+        A character other than ``a``/``b`` raises
+        :class:`~repro.errors.SymbolError` naming its offset in
+        ``chunk``; ``state`` is then partly advanced and should be
+        dropped.
+        """
         pos = 0
         length = self.doc_len
         if state.phase:
@@ -119,7 +126,10 @@ class StreamScanner:
             pos = take
         n_full = (len(chunk) - pos) // length
         if n_full:
-            self._bulk(state, chunk[pos : pos + n_full * length], n_full)
+            try:
+                self._bulk(state, chunk[pos : pos + n_full * length], n_full)
+            except SymbolError as exc:
+                raise SymbolError(pos + exc.offset, exc.char) from None
             pos += n_full * length
         if pos < len(chunk):
             self._scalar(state, chunk, pos, len(chunk) - pos)
@@ -145,7 +155,12 @@ class StreamScanner:
         table_a, table_b = self._table_a, self._table_b
         q, phase, length = state.state, state.phase, self.doc_len
         for ch in chunk[pos : pos + count]:
-            q = table_b[q] if ch == "b" else table_a[q]
+            if ch == "b":
+                q = table_b[q]
+            elif ch == "a":
+                q = table_a[q]
+            else:
+                raise foreign_symbol(chunk[pos : pos + count], pos)
             phase += 1
             if phase == length:
                 if (self._accepting_mask >> q) & 1:
@@ -161,42 +176,12 @@ class StreamScanner:
     # -- document-parallel body kernel ----------------------------------
 
     def _bulk(self, state: ScanState, body: str, n_docs: int) -> None:
-        backend = get_backend()
-        length = self.doc_len
-        table_a, table_b, sink = self._table_a, self._table_b, self._sink
-        bits = body.translate(_TO_BITS)
-        # Occupancy: DFA state -> mask of documents currently in it.
-        occupancy = {self._initial: (1 << n_docs) - 1}
-        for t in range(length):
-            # Bit-column for phase t: document d contributes bit d.
-            column = bits[t::length]
-            col_bits = int(column[::-1], 2) if "1" in column else 0
-            advanced: dict[int, int] = {}
-            for q, mask in occupancy.items():
-                on_b = mask & col_bits
-                on_a = mask ^ on_b
-                if on_a:
-                    successor = table_a[q]
-                    if successor != sink:
-                        advanced[successor] = advanced.get(successor, 0) | on_a
-                if on_b:
-                    successor = table_b[q]
-                    if successor != sink:
-                        advanced[successor] = advanced.get(successor, 0) | on_b
-            occupancy = advanced
-            if not occupancy:
-                break
-        accept_mask = 0
-        for q in self._accept_states:
-            accept_mask |= occupancy.get(q, 0)
-        count = backend.popcount(accept_mask)
-        if count:
-            base = state.docs_done
-            state.matches += count
-            for offset in backend.bit_indices(accept_mask):
-                state.checksum = fold_checksum(state.checksum, base + offset)
-                if state.match_ids is not None:
-                    state.match_ids.append(base + offset)
+        accept_mask = self._scan_body(body)
+        base = state.docs_done
+        count, state.checksum = self._backend.fold_indices(accept_mask, state.checksum, base)
+        state.matches += count
+        if count and state.match_ids is not None:
+            state.match_ids.extend(base + i for i in self._backend.bit_indices(accept_mask))
         state.docs_done += n_docs
 
 

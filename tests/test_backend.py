@@ -25,8 +25,9 @@ from repro.backend import (
     set_backend,
     use_backend,
 )
-from repro.backend.reference import ReferenceBackend
+from repro.backend.reference import ReferenceBackend, fold_checksum
 from repro.backend.words import WordsBackend, from_words, to_words
+from repro.errors import SymbolError
 
 REFERENCE = ReferenceBackend()
 
@@ -237,6 +238,62 @@ def test_binary_step_matches(other):
             assert ours(left, right) == theirs(left, right)
 
 
+#: ``(c, w, columns)`` for document lengths 2, 6, 8, 10, 16 and 20; 2, 6
+#: and 10 are not multiples of the numpy scan's 4-character block.
+SCAN_SHAPES = [
+    (1, 1, (1,)),
+    (3, 1, (1, 3)),
+    (2, 2, (1, 2)),
+    (5, 1, (2, 4)),
+    (4, 2, (1, 4)),
+    (5, 2, (1, 3, 4)),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", SCAN_SHAPES, ids=lambda s: f"len{2 * s[0] * s[1]}")
+def test_layered_scan_matches(other, shape):
+    from repro.extract import compile_scanner, relation_pairs
+
+    c, w, columns = shape
+    compiled = compile_scanner(c, w, columns, relation_pairs("match", w))
+    dfa, length = compiled.dfa, compiled.doc_len
+    args = (dfa.tables, dfa.initial, dfa.accepting_mask, length)
+    ours, theirs = other.make_layered_scan(*args), REFERENCE.make_layered_scan(*args)
+    rng = _rng(23)
+    for n_docs in (0, 1, 63, 64, 65, 5000):
+        body = "".join(rng.choices("ab", k=n_docs * length))
+        expected = theirs(body)
+        assert ours(body) == expected, n_docs
+        if n_docs <= 65:  # the reference walk against per-document runs
+            docs = (body[d * length : (d + 1) * length] for d in range(n_docs))
+            assert expected == sum(1 << d for d, doc in enumerate(docs) if dfa.accepts(doc))
+    bad = "a" * (length + 1) + "c" + "b" * (length - 2)
+    for scan in (ours, theirs):
+        with pytest.raises(SymbolError) as info:
+            scan(bad)
+        assert (info.value.offset, info.value.char) == (length + 1, "c")
+
+
+@pytest.mark.filterwarnings("error")
+def test_fold_indices_matches(other):
+    rng = _rng(25)
+    top = (1 << 64) - 1
+    masks = [0, 1, 1 << 63, top, (1 << 5000) - 1, *_masks(rng, 4, 5000)]
+    masks.append(sum(1 << rng.randrange(5000) for _ in range(3)))
+    for mask in masks:
+        for checksum in (0, top, top - rng.getrandbits(20)):
+            for base in (0, 1 << 40, (1 << 40) + rng.getrandbits(30), top):
+                expected = REFERENCE.fold_indices(mask, checksum, base)
+                assert other.fold_indices(mask, checksum, base) == expected
+
+
+def test_fold_indices_frozen_oracle():
+    assert REFERENCE.fold_indices(0, 77, 5) == (0, 77)
+    expected = fold_checksum(fold_checksum(fold_checksum(9, 10), 11), 13)
+    assert REFERENCE.fold_indices(0b1011, 9, 10) == (3, expected)
+
+
 # ----------------------------------------------------------------------
 # Word-array helpers
 # ----------------------------------------------------------------------
@@ -428,6 +485,11 @@ def test_delegates_to_reports_the_defining_class():
     assert delegates_to(words, "bareiss_rank") == "reference"
     assert delegates_to(words, "mat_mul") == "reference"
     assert delegates_to(words, "max_bilinear") == "reference"
+    # The extraction body kernels: numpy owns both, words inherits them.
+    numpy_backend = BACKEND_CLASSES["numpy"]()
+    for method in ("make_layered_scan", "fold_indices"):
+        assert delegates_to(words, method) == "reference"
+        assert delegates_to(numpy_backend, method) == "numpy"
     with pytest.raises(AttributeError):
         delegates_to(words, "not_a_kernel")
 
@@ -471,6 +533,10 @@ def test_cext_delegation_rules():
     assert CextBackend.mat_mul is ReferenceBackend.mat_mul
     assert CextBackend.max_bilinear is ReferenceBackend.max_bilinear
     assert CextBackend.make_binary_step is ReferenceBackend.make_binary_step
+    # The extraction body scan and fold stay the reference walk; its fold
+    # calls self.bit_indices, so the C kernel still runs inside it.
+    assert CextBackend.make_layered_scan is ReferenceBackend.make_layered_scan
+    assert CextBackend.fold_indices is ReferenceBackend.fold_indices
 
 
 @pytest.mark.skipif("cext" not in available_backends(), reason="cext not built")
@@ -687,6 +753,7 @@ def test_bench_backends_smoke():
         "transpose",
         "rect",
         "split",
+        "scan",
     ]
     for row in result["rows"]:
         for name, cell in row["backends"].items():

@@ -227,6 +227,36 @@ class TestChunkBoundaries:
         assert stitched == full["match_ids"]
 
 
+#: Chunks of 4-character documents that put one foreign character in the
+#: head (finishing a carried document), the body (whole documents: once
+#: in a phase column that also holds a ``b``, once alone, as in
+#: ``"aaac" + "aaaa" * 3``) or the tail (starting a carried document),
+#: with its offset in the last chunk.
+FOREIGN_PLACEMENTS = {
+    "head": (["ab", "a{}abab"], 1),
+    "body-with-b": (["aaab" * 2 + "aaa{}" + "aaaa"], 11),
+    "body": (["aaa{}" + "aaaa" * 3], 3),
+    "tail": (["abab" * 2 + "a{}"], 9),
+}
+
+
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("placement", sorted(FOREIGN_PLACEMENTS))
+@pytest.mark.parametrize("char", ["c", "é"], ids=["ascii", "non-ascii"])
+def test_foreign_characters_raise_a_typed_error(backend, placement, char):
+    chunks, offset = FOREIGN_PLACEMENTS[placement]
+    spec = StreamSpec(c=2, w=1, columns=(1, 2), n_docs=0)
+    with use_backend(backend):
+        scanner = StreamScanner(scanner_for_spec(spec))
+    state = scanner.new_state()
+    *head, last = [chunk.format(char) for chunk in chunks]
+    for chunk in head:
+        scanner.feed(state, chunk)
+    with pytest.raises(ReproError, match=f"{char!r} at offset {offset}") as info:
+        scanner.feed(state, last)
+    assert (info.value.offset, info.value.char) == (offset, char)
+
+
 # ----------------------------------------------------------------------
 # Oracle agreement on randomized streams, under every backend
 # ----------------------------------------------------------------------
@@ -415,6 +445,18 @@ class TestBackendRouting:
             assert get_backend().name == "words"
             result = scan_stream(SPEC, chunk_chars=29)
         assert result["matches"] == scan_stream(SPEC, chunk_chars=29)["matches"]
+
+    def test_backend_is_resolved_when_the_scanner_is_built(self):
+        compiled = scanner_for_spec(SPEC)
+        with use_backend("reference"):
+            scanner = StreamScanner(compiled)
+            # Scanners of one compiled query share one body kernel.
+            assert StreamScanner(compiled)._scan_body is scanner._scan_body
+        with use_backend("words"):
+            result = scanner.scan_chunks([SPEC.text()])
+            assert get_backend().name == "words"
+        assert scanner._backend.name == "reference"
+        assert result == StreamScanner(compiled).scan_chunks([SPEC.text()])
 
     def test_bench_smoke(self):
         from repro.extract.bench import run_extract_bench
