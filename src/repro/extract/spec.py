@@ -8,11 +8,24 @@ are derived from the seed with a per-document mixer, so any shard
 that is what makes specs safe to put in engine job parameters and
 content-addressed cache keys (`to_params()` is plain JSON, no raw
 documents ever cross a process boundary or land in the cache).
+
+The stream contract: document ``i`` is what
+``random.Random(((seed + 1) * _MIX + i) mod 2**64)`` yields from, in
+order, ``2*c*w`` calls of ``choice("ab")`` (row 1, then row 2), one
+``random()`` and, when that falls below ``match_bias``,
+``choice(columns)`` then ``choice(pairs)``, whose pair overwrites the
+chosen column of both rows.  Cache keys, stored results and pinned
+digests all assume this stream, so it must stay byte-identical; the
+decoder below produces it without the per-call API (see
+docs/EXTRACT.md).
 """
 
 from __future__ import annotations
 
+import math
 import random
+import re
+import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -29,6 +42,40 @@ _RELATIONS = ("match", "leq")
 # every document gets a distinct, shard-independent RNG seed.
 _MIX = 0x9E3779B97F4A7C15
 _U64 = (1 << 64) - 1
+
+# The block decoder.  Each document's generator is drawn a block of K
+# 32-bit words at a time with one ``getrandbits(32 * K)``.  CPython fills
+# that integer draw by draw from its least significant word up, so
+# ``to_bytes(4 * K, "little")`` puts draw ``i`` at bytes ``4i .. 4i + 3``
+# with its top byte at ``4i + 3``.  The decoder replays the per-call API:
+#
+# * ``choice("ab")`` is ``_randbelow(2)``: ``getrandbits(2)``, the word's
+#   top two bits, redrawn while they read 2 or 3.  So the top byte alone
+#   decides it: below 0x40 "a", below 0x80 "b", otherwise rejected.
+# * ``random()`` reads the next two words as
+#   ``((w1 >> 5) * 2**26 + (w2 >> 6)) / 2**53``.
+# * ``choice(seq)`` redraws ``seq``'s index on the top
+#   ``len(seq).bit_length()`` bits of the following words.
+#
+# A document that needs more words than one block holds draws another
+# block from the same generator, which continues its stream exactly.
+_TOP_BYTE = b"a" * 0x40 + b"b" * 0x40 + b"x" * 0x80
+_WORD = struct.Struct("<I")
+_TWO_WORDS = struct.Struct("<2I")
+_TWO_POW_53 = float(1 << 53)
+# Documents decoded per block: bounds ``iter_chunks``' working memory.
+_BLOCK_DOCS = 256
+
+
+def _block_words(doc_len: int) -> int:
+    """Words per draw: the body expects ``2 * doc_len``; the slack makes a
+    second draw rare for a whole document."""
+    return 2 * doc_len + 4 * math.isqrt(doc_len) + 16
+
+
+def _require_int(name: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ReproError(f"{name} must be an int, got {value!r}")
 
 
 def relation_pairs(relation: str, w: int) -> tuple[tuple[str, str], ...]:
@@ -69,9 +116,17 @@ class StreamSpec:
     match_bias: float = 0.25
 
     def __post_init__(self) -> None:
+        for name in ("c", "w", "n_docs", "seed"):
+            _require_int(name, getattr(self, name))
         if self.c < 1 or self.w < 1:
             raise ReproError("c and w must be positive")
-        cols = tuple(sorted(set(int(j) for j in self.columns)))
+        try:
+            given = tuple(self.columns)
+        except TypeError:
+            raise ReproError(f"columns must be a sequence of ints, got {self.columns!r}") from None
+        for j in given:
+            _require_int("columns", j)
+        cols = tuple(sorted(set(given)))
         if not cols:
             raise ReproError("columns must be non-empty")
         if cols[0] < 1 or cols[-1] > self.c:
@@ -83,8 +138,11 @@ class StreamSpec:
             )
         if self.n_docs < 0:
             raise ReproError("n_docs must be >= 0")
+        if isinstance(self.match_bias, bool) or not isinstance(self.match_bias, (int, float)):
+            raise ReproError(f"match_bias must be a number, got {self.match_bias!r}")
         if not 0.0 <= self.match_bias <= 1.0:
             raise ReproError("match_bias must lie in [0, 1]")
+        object.__setattr__(self, "match_bias", float(self.match_bias))
 
     @property
     def doc_len(self) -> int:
@@ -98,22 +156,68 @@ class StreamSpec:
         return relation_pairs(self.relation, self.w)
 
     def document(self, index: int) -> str:
-        """The ``index``-th document, independent of any other index."""
+        """The ``index``-th document, independent of any other index.
+
+        It is the stream contract's draw sequence from the document's own
+        generator (module docstring), decoded like every other document.
+        """
         if not 0 <= index < self.n_docs:
             raise ReproError(f"document index {index} out of range [0, {self.n_docs})")
-        rng = random.Random(((self.seed + 1) * _MIX + index) & _U64)
-        c, w = self.c, self.w
-        row1 = [rng.choice("ab") for _ in range(c * w)]
-        row2 = [rng.choice("ab") for _ in range(c * w)]
-        if rng.random() < self.match_bias:
-            # Plant a related column so streams are not all-negative at
-            # large w (a random pair rarely lands in the relation).
-            j = rng.choice(self.columns)
-            x, y = rng.choice(self.pairs())
-            lo = (j - 1) * w
-            row1[lo : lo + w] = x
-            row2[lo : lo + w] = y
-        return "".join(row1) + "".join(row2)
+        return self._documents(index, index + 1)[0]
+
+    def _documents(self, lo: int, hi: int) -> list[str]:
+        """Documents ``lo .. hi - 1``, each from blocks of its generator's
+        words (the decoder described above ``_TOP_BYTE``)."""
+        half, w = self.c * self.w, self.w
+        words = _block_words(2 * half)
+        bits, size = 32 * words, 4 * words
+        # The body runs through the (2cw)-th accepted draw; the lookahead
+        # asks for the two words ``random()`` reads after it.
+        body_of = re.compile(rb"(?:x*+[ab]){%d}(?=..)" % (2 * half)).match
+        threshold = self.match_bias * _TWO_POW_53
+        key = (self.seed + 1) * _MIX
+        # Built seeded for document ``lo``; each later document reseeds it.
+        rng = random.Random((key + lo) & _U64)
+        reseed, draw = rng.seed, rng.getrandbits
+        pairs = None
+
+        def below(n: int) -> int:
+            # ``_randbelow(n)`` for ``n < 2**32`` (both sequences are
+            # materialised tuples): one word per try.
+            nonlocal raw, at
+            shift = 32 - n.bit_length()
+            while True:
+                if at + 4 > len(raw):
+                    raw += draw(bits).to_bytes(size, "little")
+                r = _WORD.unpack_from(raw, at)[0] >> shift
+                at += 4
+                if r < n:
+                    return r
+
+        docs = []
+        for index in range(lo, hi):
+            if index != lo:
+                reseed((key + index) & _U64)
+            raw = draw(bits).to_bytes(size, "little")
+            body = body_of(raw[3::4].translate(_TOP_BYTE))
+            while body is None:
+                raw += draw(bits).to_bytes(size, "little")
+                body = body_of(raw[3::4].translate(_TOP_BYTE))
+            doc = body.group().translate(None, b"x").decode()
+            at = 4 * body.end()
+            high, low = _TWO_WORDS.unpack_from(raw, at)
+            if ((high >> 5) << 26) + (low >> 6) < threshold:
+                # Plant a related column so streams are not all-negative at
+                # large w (a random pair rarely lands in the relation).
+                at += 8
+                j = self.columns[below(len(self.columns))]
+                if pairs is None:
+                    pairs = self.pairs()
+                x, y = pairs[below(len(pairs))]
+                p = (j - 1) * w
+                doc = doc[:p] + x + doc[p + w : half + p] + y + doc[half + p + w :]
+            docs.append(doc)
+        return docs
 
     def resolve_range(self, lo: int = 0, hi: int | None = None) -> tuple[int, int]:
         """Clamp-and-validate a document shard ``[lo, hi)``."""
@@ -123,10 +227,14 @@ class StreamSpec:
             raise ReproError(f"bad shard [{lo}, {hi}) for n_docs={self.n_docs}")
         return lo, hi
 
-    def iter_documents(self, lo: int = 0, hi: int | None = None) -> Iterator[str]:
+    def _blocks(self, lo: int, hi: int | None) -> Iterator[list[str]]:
         lo, hi = self.resolve_range(lo, hi)
-        for index in range(lo, hi):
-            yield self.document(index)
+        for start in range(lo, hi, _BLOCK_DOCS):
+            yield self._documents(start, min(start + _BLOCK_DOCS, hi))
+
+    def iter_documents(self, lo: int = 0, hi: int | None = None) -> Iterator[str]:
+        for block in self._blocks(lo, hi):
+            yield from block
 
     def text(self, lo: int = 0, hi: int | None = None) -> str:
         """The shard's documents concatenated (tests / small shards only)."""
@@ -137,26 +245,22 @@ class StreamSpec:
     ) -> Iterator[str]:
         """Stream the shard as chunks of ``chunk_chars`` characters.
 
-        Memory stays bounded by ``chunk_chars + doc_len`` regardless of
+        Documents are generated a bounded block at a time, so memory stays
+        below ``chunk_chars`` plus one block of documents regardless of
         the shard size; chunk boundaries fall at arbitrary offsets, so
         documents routinely straddle them.
         """
         if chunk_chars < 1:
             raise ReproError("chunk_chars must be positive")
-        lo, hi = self.resolve_range(lo, hi)
-        buffer: list[str] = []
-        buffered = 0
-        for index in range(lo, hi):
-            buffer.append(self.document(index))
-            buffered += self.doc_len
-            while buffered >= chunk_chars:
-                whole = "".join(buffer)
-                yield whole[:chunk_chars]
-                rest = whole[chunk_chars:]
-                buffer = [rest] if rest else []
-                buffered = len(rest)
-        if buffered:
-            yield "".join(buffer)
+        buffer = ""
+        for block in self._blocks(lo, hi):
+            buffer += "".join(block)
+            whole = len(buffer) - len(buffer) % chunk_chars
+            for start in range(0, whole, chunk_chars):
+                yield buffer[start : start + chunk_chars]
+            buffer = buffer[whole:]
+        if buffer:
+            yield buffer
 
     def to_params(self) -> dict[str, object]:
         """Plain-JSON parameters for the ``extract.*`` job family."""
@@ -172,14 +276,17 @@ class StreamSpec:
 
     @classmethod
     def from_params(cls, params: dict[str, object]) -> StreamSpec:
+        """The spec of ``to_params()``-shaped parameters.  Numbers are
+        type-checked, not truncated, so a malformed request fails as a
+        ``ReproError`` instead of scanning some other stream."""
         return cls(
-            c=int(params["c"]),  # type: ignore[arg-type]
-            w=int(params["w"]),  # type: ignore[arg-type]
-            columns=tuple(params["columns"]),  # type: ignore[arg-type]
+            c=params["c"],  # type: ignore[arg-type]
+            w=params["w"],  # type: ignore[arg-type]
+            columns=params["columns"],  # type: ignore[arg-type]
             relation=str(params.get("relation", "match")),
-            n_docs=int(params.get("n_docs", 1000)),  # type: ignore[arg-type]
-            seed=int(params.get("seed", 0)),  # type: ignore[arg-type]
-            match_bias=float(params.get("match_bias", 0.25)),  # type: ignore[arg-type]
+            n_docs=params.get("n_docs", 1000),  # type: ignore[arg-type]
+            seed=params.get("seed", 0),  # type: ignore[arg-type]
+            match_bias=params.get("match_bias", 0.25),  # type: ignore[arg-type]
         )
 
     def to_key(self) -> tuple:

@@ -16,7 +16,7 @@ import random
 import pytest
 
 from repro.backend import available_backends, get_backend, use_backend
-from repro.errors import ReproError
+from repro.errors import JobFailedError, ReproError
 from repro.extract import (
     StreamScanner,
     StreamSpec,
@@ -28,6 +28,7 @@ from repro.extract import (
     scanner_for_spec,
     semantic_scan,
 )
+from repro.extract import spec as spec_module
 from repro.extract.compile import column_relation_nfa
 from repro.spanners import (
     column_match_cfg,
@@ -40,6 +41,7 @@ from repro.spanners import (
 )
 from repro.words.alphabet import AB
 from repro.words.ops import all_words
+from tests.legacy_extract import legacy_document
 
 SPEC = StreamSpec(c=3, w=1, columns=(1, 3), n_docs=40, seed=5, match_bias=0.3)
 
@@ -90,11 +92,89 @@ class TestStreamSpec:
         with pytest.raises(ReproError):
             SPEC.resolve_range(10, 5)
 
+    def test_validation_requires_real_numbers(self):
+        for field in ("c", "w", "n_docs", "seed"):
+            with pytest.raises(ReproError, match=field):
+                StreamSpec(**{**SPEC.to_params(), field: True})  # type: ignore[arg-type]
+        with pytest.raises(ReproError, match="columns"):
+            StreamSpec(c=2, w=1, columns=(True,))
+        with pytest.raises(ReproError, match="match_bias"):
+            StreamSpec(c=2, w=1, columns=(1,), match_bias="0.5")  # type: ignore[arg-type]
+
     def test_shard_ranges_partition(self):
         for shards in (1, 3, 7, 40, 100):
             ranges = SPEC.shard_ranges(shards)
             assert ranges[0][0] == 0 and ranges[-1][1] == SPEC.n_docs
             assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+
+    @staticmethod
+    def _assert_matches_frozen_generator(spec: StreamSpec, rng: random.Random) -> None:
+        want = [legacy_document(spec, index) for index in range(spec.n_docs)]
+        text = "".join(want)
+        assert [spec.document(index) for index in range(spec.n_docs)] == want
+        lo = rng.randint(0, spec.n_docs)
+        hi = rng.randint(lo, spec.n_docs)
+        assert list(spec.iter_documents(lo, hi)) == want[lo:hi]
+        assert spec.text() == text
+        for chunk_chars in (1, spec.doc_len - 1 or 1, rng.randint(1, 3 * spec.doc_len + 1)):
+            chunks = list(spec.iter_chunks(chunk_chars))
+            assert "".join(chunks) == text
+            assert all(len(chunk) == chunk_chars for chunk in chunks[:-1])
+
+    def test_decoder_matches_frozen_generator(self):
+        """The block decoder reproduces the per-character generator exactly."""
+        rng = random.Random(1601)
+        for trial in range(320):
+            c, w = rng.randint(1, 6), rng.randint(1, 3)
+            columns = tuple(rng.sample(range(1, c + 1), rng.randint(1, c)))
+            # Every tenth spec spans several decoder blocks of documents.
+            n_docs = rng.randint(257, 600) if trial % 10 == 0 else rng.randint(0, 60)
+            spec = StreamSpec(
+                c=c,
+                w=w,
+                columns=columns,
+                relation=rng.choice(("match", "leq")),
+                n_docs=n_docs,
+                seed=rng.randrange(-3, 1 << 62),
+                match_bias=rng.choice((0.0, 0.25, 1.0, rng.random())),
+            )
+            self._assert_matches_frozen_generator(spec, rng)
+
+    def test_decoder_draws_further_blocks(self, monkeypatch):
+        """With one word per draw, every document runs out of its block in
+        the body, in ``random()`` and in the planted choices."""
+        monkeypatch.setattr(spec_module, "_block_words", lambda doc_len: 1)
+        rng = random.Random(1602)
+        for relation, match_bias in (("match", 1.0), ("leq", 1.0), ("leq", 0.5), ("match", 0.0)):
+            for c, w in ((1, 1), (3, 2), (5, 3)):
+                spec = StreamSpec(
+                    c=c, w=w, columns=tuple(range(1, c + 1)), relation=relation,
+                    n_docs=40, seed=rng.randrange(1 << 30), match_bias=match_bias,
+                )
+                self._assert_matches_frozen_generator(spec, rng)
+
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            (
+                StreamSpec(c=4, w=2, columns=(1, 3), n_docs=500, seed=1),
+                "c13d9f048ed28437f21c534110821a8de5005c8d565107d98377236ee7674edc",
+            ),
+            (
+                StreamSpec(
+                    c=5, w=2, columns=(2, 5), relation="leq", n_docs=300, seed=9,
+                    match_bias=0.6,
+                ),
+                "eb812334e223dce9ea73ddf3659e72b21cd0cc4a3d26004bcdcaecb8994f924c",
+            ),
+            (SPEC, "dab83b3d99ba8938cba1f04ab8ac19440b9edb2330316fee281ec50cc166b7e7"),
+        ],
+        ids=["c4-w2-match", "c5-w2-leq", "SPEC"],
+    )
+    def test_golden_stream_digests(self, spec, digest):
+        """Pinned streams: any change to the generated text fails here, even
+        one the frozen oracle would share (e.g. a change in ``random``)."""
+        assert hashlib.sha256(spec.text().encode("ascii")).hexdigest() == digest
 
 
 # ----------------------------------------------------------------------
@@ -420,6 +500,19 @@ class TestExtractJobs:
         results = engine.map("extract.scan", param_sets)
         assert [r["lo"] for r in results] == [60, 0, 60]
         assert results[0] == results[2]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("columns", [1.5]), ("seed", 1.7), ("columns", 3), ("n_docs", "ten")],
+        ids=["fractional-column", "fractional-seed", "scalar-columns", "text-n_docs"],
+    )
+    def test_scan_job_rejects_malformed_stream_params(self, field, value):
+        """A typed error naming the field, never a truncated stream or a
+        bare ``TypeError``/``ValueError``."""
+        with pytest.raises(JobFailedError) as info:
+            _engine().run_one("extract.scan", {**JOB_SPEC, field: value})
+        cause = info.value.__cause__
+        assert isinstance(cause, ReproError) and field in str(cause)
 
     def test_storm_extract_kind_is_well_formed(self):
         from repro.engine.jobs import default_registry
