@@ -881,7 +881,11 @@ def packed_is_unambiguous(pnfa: PackedNFA) -> bool:
 
 
 def transfer_counts(pdfa: PackedDFA) -> list[list[int]]:
-    """``M[i][j]`` = number of symbols taking state ``i`` to state ``j``."""
+    """``M[i][j]`` = number of symbols taking state ``i`` to state ``j``.
+
+    Dense, for repeated squaring; the sweeps read the same counts as
+    sparse rows (``_transfer_rows``).
+    """
     n = pdfa.n_states
     matrix = [[0] * n for _ in range(n)]
     for table in pdfa.tables:
@@ -901,6 +905,33 @@ def nfa_transfer_counts(pnfa: PackedNFA) -> list[list[int]]:
             for succ in iter_bits(table[q]):
                 matrix[q][succ] += 1
     return matrix
+
+
+def _transfer_rows(pdfa: PackedDFA) -> list[list[tuple[int, int]]]:
+    """Row ``i`` of :func:`transfer_counts` as its ``(j, count)`` non-zeros,
+    ``j`` ascending, read straight off the successor tables."""
+    rows = []
+    for q in range(pdfa.n_states):
+        counts: dict[int, int] = {}
+        for table in pdfa.tables:
+            succ = table[q]
+            if succ >= 0:
+                counts[succ] = counts.get(succ, 0) + 1
+        rows.append(sorted(counts.items()))
+    return rows
+
+
+def _nfa_transfer_rows(pnfa: PackedNFA) -> list[list[tuple[int, int]]]:
+    """Row ``i`` of :func:`nfa_transfer_counts` as its ``(j, count)``
+    non-zeros, ``j`` ascending, read straight off the transition masks."""
+    rows = []
+    for q in range(pnfa.n_states):
+        counts: dict[int, int] = {}
+        for table in pnfa.tables:
+            for succ in iter_bits(table[q]):
+                counts[succ] = counts.get(succ, 0) + 1
+        rows.append(sorted(counts.items()))
+    return rows
 
 
 def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -993,7 +1024,7 @@ def count_words_by_sweep(pdfa: PackedDFA, length: int) -> int:
         raise ValueError(f"length must be non-negative, got {length}")
     vector = [0] * pdfa.n_states
     vector[pdfa.initial] = 1
-    adjacency = _adjacency(transfer_counts(pdfa))
+    adjacency = _transfer_rows(pdfa)
     sweep = get_backend().make_sweep_fn(adjacency, pdfa.n_states)
     for _ in range(length):
         vector = sweep(vector)
@@ -1010,7 +1041,7 @@ def count_words_table(pdfa: PackedDFA, max_length: int) -> dict[int, int]:
         raise ValueError(f"max_length must be non-negative, got {max_length}")
     vector = [0] * pdfa.n_states
     vector[pdfa.initial] = 1
-    adjacency = _adjacency(transfer_counts(pdfa))
+    adjacency = _transfer_rows(pdfa)
     sweep = get_backend().make_sweep_fn(adjacency, pdfa.n_states)
     table = {0: _accepting_sum(vector, pdfa.accepting_mask)}
     for length in range(1, max_length + 1):
@@ -1030,18 +1061,8 @@ def count_runs_by_sweep(pnfa: PackedNFA, length: int) -> int:
     if length < 0:
         raise ValueError(f"length must be non-negative, got {length}")
     vector = [1 if pnfa.initial_mask >> q & 1 else 0 for q in range(pnfa.n_states)]
-    adjacency = _adjacency(nfa_transfer_counts(pnfa))
+    adjacency = _nfa_transfer_rows(pnfa)
     sweep = get_backend().make_sweep_fn(adjacency, pnfa.n_states)
     for _ in range(length):
         vector = sweep(vector)
     return _accepting_sum(vector, pnfa.accepting_mask)
-
-
-def _adjacency(matrix: list[list[int]]) -> list[list[tuple[int, int]]]:
-    return [
-        [(j, count) for j, count in enumerate(row) if count] for row in matrix
-    ]
-
-
-def _sweep(vector: list[int], adjacency: list[list[tuple[int, int]]], n: int) -> list[int]:
-    return get_backend().make_sweep_fn(adjacency, n)(vector)

@@ -48,25 +48,46 @@ def _ceil_div(numerator: int, denominator: int) -> int:
     return -(-numerator // denominator)
 
 
+def _icbrt_floor(x: int) -> int:
+    """``⌊∛x⌋`` for ``x ≥ 1``, exactly.
+
+    Newton's step ``y ↦ ⌊(2y + ⌊x / y²⌋) / 3⌋`` falls strictly while
+    ``y > ∛x`` and never below ``⌊∛x⌋`` (AM-GM), so descending from any
+    overestimate ends on the floor root.  ``(⌊∛(x >> 3k)⌋ + 1) << k``
+    overestimates it, and from the root of ``x``'s top half (precision
+    doubling, as in ``math.isqrt``) only two or three full-width
+    divisions remain.
+    """
+    k = x.bit_length() // 6
+    if k:
+        y = (_icbrt_floor(x >> 3 * k) + 1) << k
+    else:
+        y = 1 << -(-x.bit_length() // 3)
+    while (z := (2 * y + x // (y * y)) // 3) < y:
+        y = z
+    return y
+
+
+def _icbrt_ceil(x: int) -> int:
+    """The least integer ``y ≥ 0`` with ``y³ ≥ x``."""
+    if x <= 0:
+        return 0
+    y = _icbrt_floor(x)
+    return y if y * y * y == x else y + 1
+
+
 def _min_ell_against_cube_bound(margin: int, factor: int, m: int) -> int:
     """The least ``ℓ ≥ 0`` with ``factor · ℓ · 2^{10m/3} ≥ margin``.
 
-    Obtained by cubing: ``(factor · ℓ)³ · 2^{10m} ≥ margin³``.
+    Obtained by cubing: ``(factor · ℓ)³ · 2^{10m} ≥ margin³``.  The left
+    side is an integer cube, so the condition reads ``factor · ℓ ≥ y``
+    for ``y`` the least integer with ``y³ ≥ ⌈margin³ / 2^{10m}⌉``, and
+    ``ℓ = ⌈y / factor⌉``: one cube, a ceiling shift and an integer cube
+    root on ``~0.75m``-bit numbers for the margin ``12^m - 8^m``.
     """
     if margin <= 0:
         return 0
-    target = margin**3
-    power = 2 ** (10 * m)
-    low, high = 0, 1
-    while (factor * high) ** 3 * power < target:
-        high *= 2
-    while low < high:
-        mid = (low + high) // 2
-        if (factor * mid) ** 3 * power >= target:
-            high = mid
-        else:
-            low = mid + 1
-    return low
+    return _ceil_div(_icbrt_ceil(-(-(margin**3) >> (10 * m))), factor)
 
 
 def fixed_partition_cover_lower_bound(n: int) -> int:
@@ -184,7 +205,16 @@ class LowerBoundCertificate:
         return canonical_encode(("LowerBoundCertificate", asdict(self)))
 
     def verify(self) -> None:
-        """Re-check the internal identities; raise CertificateError if broken."""
+        """Re-check the certificate; raise CertificateError if broken.
+
+        Besides the Lemma 18 identities, every reported bound must be the
+        least value ``≥ 1`` that its defining inequality admits: it holds
+        at the bound and fails one step below.  The inequalities are
+        evaluated directly (Proposition 16's by cubing), so this trusts
+        neither :func:`_min_ell_against_cube_bound` nor the bound functions.
+        """
+        if (self.m, self.remainder) != (max(1, self.n // 4), self.n % 4):
+            raise CertificateError("m and remainder do not match n")
         if self.size_a + self.size_b != self.size_script_l:
             raise CertificateError("|A| + |B| != |L|")
         if self.size_b - self.size_a != 2 ** (3 * self.m):
@@ -193,6 +223,29 @@ class LowerBoundCertificate:
             raise CertificateError("margin != |A| - |B ∩ L_n|")
         if self.lemma18_threshold_holds != _lemma18_threshold(self.margin, self.m):
             raise CertificateError("Lemma 18 threshold flag inconsistent")
+        n, m, margin = self.n, self.m, self.margin
+        # Proposition 16 for 4 ∤ n divides ℓ by the spare-element factor.
+        spare = SPARE_ELEMENT_FACTOR if self.remainder else 1
+        cube = margin**3
+        bounds = (
+            # Theorem 17: ℓ · 2^{3m} ≥ margin.
+            ("fixed_partition_bound", self.fixed_partition_bound,
+             lambda ell: ell * lemma19_bound(m) >= margin),
+            # Proposition 16: (2^8 · ℓ)³ · 2^{10m} ≥ margin³.
+            ("cover_bound", self.cover_bound,
+             lambda ell: (NEAT_SPLIT_FACTOR * spare * ell) ** 3 << 10 * m >= cube),
+            # Proposition 7: ℓ ≤ 2n · |G_CNF|.
+            ("ucfg_cnf_bound", self.ucfg_cnf_bound,
+             lambda size: 2 * n * size >= self.cover_bound),
+            # CNF conversion: |G_CNF| ≤ |G|².
+            ("ucfg_bound", self.ucfg_bound,
+             lambda size: size * size >= self.ucfg_cnf_bound),
+        )
+        for name, value, holds in bounds:
+            if value < 1 or not holds(value) or (value > 1 and holds(value - 1)):
+                raise CertificateError(
+                    f"{name} = {value} is not the least value >= 1 its inequality admits"
+                )
 
 
 def verify_discrepancy_caps(m: int, *, engine=None) -> dict:

@@ -20,7 +20,7 @@ from collections.abc import Iterable
 
 from repro.core.partitions import iter_ordered_balanced_partitions
 from repro.core.setview import OrderedPartition, SetRectangle, word_to_zset, ZSet
-from repro.errors import RectangleError
+from repro.errors import CoverBudgetExceeded, RectangleError
 from repro.languages.ln import ln_words
 
 __all__ = [
@@ -149,8 +149,9 @@ def minimum_balanced_cover(
     :func:`exhaustive_minimum_balanced_cover` (complete, tiny ``n`` only)
     or with a lower bound such as
     :func:`repro.core.lower_bound.multipartition_cover_lower_bound`.
-    Raises ``RuntimeError`` when the node budget is exhausted (instead of
-    returning a possibly wrong answer).
+    Raises :class:`~repro.errors.CoverBudgetExceeded` when the node budget
+    is exhausted; its ``best_cover`` is the best valid disjoint cover found
+    so far (at worst the greedy one), never a claimed optimum.
     """
     if not target:
         return []
@@ -179,7 +180,11 @@ def minimum_balanced_cover(
         nonlocal best, nodes
         nodes += 1
         if nodes > node_budget:
-            raise RuntimeError("minimum_balanced_cover: node budget exhausted")
+            raise CoverBudgetExceeded(
+                "minimum_balanced_cover: node budget exhausted",
+                best_cover=list(best),
+                nodes_expanded=nodes,
+            )
         if not remaining:
             if len(chosen) < len(best):
                 best = list(chosen)

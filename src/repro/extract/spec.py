@@ -36,6 +36,11 @@ from repro.words.ops import all_words
 __all__ = ["StreamSpec", "relation_pairs"]
 
 _RELATIONS = ("match", "leq")
+#: The most pairs a relation may hold.  ``relation_pairs`` builds them all
+#: (compile reads them, and so does the generator for a planted
+#: document), so a wider relation is refused before it is built:
+#: ``match`` stops at ``w = 16`` and ``leq`` at ``w = 8``.
+MAX_RELATION_PAIRS = 1 << 16
 
 # Odd 64-bit multiplier (splitmix64's golden-ratio constant): the map
 # ``i -> (seed + 1) * _MIX + i  (mod 2^64)`` is injective per stream, so
@@ -78,6 +83,28 @@ def _require_int(name: str, value: object) -> None:
         raise ReproError(f"{name} must be an int, got {value!r}")
 
 
+def _check_pair_budget(relation: str, w: int) -> None:
+    """Raise ``ReproError`` unless ``relation`` is known and holds at most
+    ``MAX_RELATION_PAIRS`` pairs at width ``w``."""
+    if relation not in _RELATIONS:
+        raise ReproError(f"unknown relation {relation!r}; expected one of {_RELATIONS}")
+    if w < 0:
+        raise ReproError(f"w must be non-negative, got {w}")
+    # Either relation holds at least 2^w pairs; a huge w is refused
+    # without computing a 2^w-bit count.
+    if w > 64:
+        count: int | str = f"at least 2^{w}"
+    else:
+        values = 1 << w
+        count = values if relation == "match" else values * (values + 1) // 2
+        if count <= MAX_RELATION_PAIRS:
+            return
+    raise ReproError(
+        f"relation {relation!r} at w={w} has {count} pairs, "
+        f"over the limit of {MAX_RELATION_PAIRS}"
+    )
+
+
 def relation_pairs(relation: str, w: int) -> tuple[tuple[str, str], ...]:
     """The pair set defining a named relation over width-``w`` values.
 
@@ -86,12 +113,11 @@ def relation_pairs(relation: str, w: int) -> tuple[tuple[str, str], ...]:
     >>> len(relation_pairs("leq", 1))
     3
     """
+    _check_pair_budget(relation, w)
+    words = list(all_words(AB, w))
     if relation == "match":
-        return tuple((x, x) for x in all_words(AB, w))
-    if relation == "leq":
-        words = list(all_words(AB, w))
-        return tuple((x, y) for x in words for y in words if x <= y)
-    raise ReproError(f"unknown relation {relation!r}; expected one of {_RELATIONS}")
+        return tuple((x, x) for x in words)
+    return tuple((x, y) for x in words for y in words if x <= y)
 
 
 @dataclass(frozen=True)
@@ -132,10 +158,7 @@ class StreamSpec:
         if cols[0] < 1 or cols[-1] > self.c:
             raise ReproError(f"columns must lie in [1, {self.c}], got {cols}")
         object.__setattr__(self, "columns", cols)
-        if self.relation not in _RELATIONS:
-            raise ReproError(
-                f"unknown relation {self.relation!r}; expected one of {_RELATIONS}"
-            )
+        _check_pair_budget(self.relation, self.w)
         if self.n_docs < 0:
             raise ReproError("n_docs must be >= 0")
         if isinstance(self.match_bias, bool) or not isinstance(self.match_bias, (int, float)):

@@ -153,13 +153,14 @@ def example4_ucfg_verbatim(n: int) -> CFG:
 def example4_size(n: int) -> int:
     """Exact size of the corrected grammar: ``2^Θ(n)``.
 
-    Components (matching :func:`example4_ucfg` literally):
+    Components (matching :func:`example4_ucfg` literally), each summed in
+    closed form:
 
     * ``C`` rules: ``4n - 2`` (just ``2`` when ``n = 1``);
     * ``W`` rules (``A_w -> w``): every nonempty ``w ∈ Σ^{≤ n-1}`` occurs
-      as some ``u`` or ``v`` → ``Σ_{j=1}^{n-1} 2^j · j``;
+      as some ``u`` or ``v`` → ``Σ_{j=1}^{n-1} 2^j · j = (n - 2) · 2^n + 2``;
     * ``A_i`` rules: ``3^{i-1}`` bodies of size 6 (4 when ``i = n``; two
-      fragments vanish when ``i = 1``);
+      fragments vanish when ``i = 1``) → ``7 · 3^{n-1} - 5``;
     * ``S`` rules: ``n`` of size 1.
 
     >>> all(example4_size(n) == example4_ucfg(n).size for n in (1, 2, 3, 4))
@@ -168,14 +169,7 @@ def example4_size(n: int) -> int:
     if n < 1:
         raise ValueError(f"example4_size is defined for n >= 1, got {n}")
     size = 4 * n - 2 if n > 1 else 2
-    size += sum((2**j) * j for j in range(1, n))
-    for i in range(1, n + 1):
-        body = 6 if i < n else 4
-        if i == 1:
-            body -= 2
-        size += (3 ** (i - 1)) * body
-    size += n
-    return size
+    return size + (n - 2) * 2**n + 2 + 7 * 3 ** (n - 1) - 5 + n
 
 
 def example4_verbatim_size(n: int) -> int:

@@ -29,6 +29,7 @@ from repro.languages.unambiguous_grammar import (
 )
 from repro.words.ops import all_words
 from repro.words.alphabet import AB
+from tests.legacy_lower_bound import legacy_example4_size
 
 
 class TestExample3:
@@ -99,6 +100,10 @@ class TestExample4:
 
     def test_size_exponential(self):
         assert example4_size(40) > 3**38
+
+    def test_size_closed_form_matches_frozen_sum(self):
+        for n in range(1, 701):
+            assert example4_size(n) == legacy_example4_size(n), n
 
     def test_nomatch_pairs_count(self):
         for length in range(4):

@@ -101,6 +101,20 @@ class TestStreamSpec:
         with pytest.raises(ReproError, match="match_bias"):
             StreamSpec(c=2, w=1, columns=(1,), match_bias="0.5")  # type: ignore[arg-type]
 
+    def test_relation_pair_budget(self):
+        """A relation past ``MAX_RELATION_PAIRS`` is refused with a typed
+        error naming the relation, ``w`` and the count, before any pair
+        is built; the widest relations within the budget still build."""
+        for relation, w, count in (("match", 17, 2**17), ("leq", 9, 2**8 * (2**9 + 1))):
+            with pytest.raises(ReproError, match=f"'{relation}' at w={w} has {count} pairs"):
+                relation_pairs(relation, w)
+        with pytest.raises(ReproError, match="'match' at w=40"):
+            StreamSpec(c=1, w=40, columns=(1,))
+        with pytest.raises(ReproError, match="'leq' at w=100"):
+            StreamSpec.from_params({"c": 100, "w": 100, "columns": [1], "relation": "leq"})
+        assert len(relation_pairs("match", 16)) == spec_module.MAX_RELATION_PAIRS
+        assert len(relation_pairs("leq", 8)) == 2**7 * (2**8 + 1)
+
     def test_shard_ranges_partition(self):
         for shards in (1, 3, 7, 40, 100):
             ranges = SPEC.shard_ranges(shards)

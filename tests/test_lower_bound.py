@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import functools
+import random
+from dataclasses import replace
+
 import pytest
 
+from repro.core import lower_bound
 from repro.core.discrepancy import lemma18_margin, lemma19_bound
 from repro.core.lower_bound import (
+    NEAT_SPLIT_FACTOR,
     LowerBoundCertificate,
+    _icbrt_ceil,
+    _min_ell_against_cube_bound,
     certificate,
     fixed_partition_cover_lower_bound,
     multipartition_cover_lower_bound,
@@ -14,6 +22,15 @@ from repro.core.lower_bound import (
     ucfg_size_lower_bound,
 )
 from repro.errors import CertificateError
+from tests.legacy_lower_bound import legacy_min_ell_against_cube_bound
+
+#: The frozen bisection, memoised: the certificate oracle asks it for the
+#: same ``(margin, 2^8, m)`` up to twelve times per ``m`` (three bounds
+#: for each of four ``n``), and the grid asks for many of them again.
+frozen_min_ell = functools.lru_cache(maxsize=None)(legacy_min_ell_against_cube_bound)
+
+#: The bound fields ``LowerBoundCertificate.verify`` re-derives.
+BOUND_FIELDS = ("fixed_partition_bound", "cover_bound", "ucfg_cnf_bound", "ucfg_bound")
 
 
 class TestFixedPartitionBound:
@@ -103,7 +120,9 @@ class TestUcfgBounds:
 
 class TestCertificate:
     def test_verify_passes(self):
-        for n in (4, 7, 16, 100):
+        # n < 4 reports m = 1 and the trivial bounds; 4 ∤ n undoes the
+        # spare-element factor.
+        for n in (1, 2, 3, 4, 5, 7, 16, 17, 100, 4097, 4098, 4099):
             certificate(n).verify()
 
     def test_values_n16(self):
@@ -135,6 +154,27 @@ class TestCertificate:
         )
         with pytest.raises(CertificateError):
             broken.verify()
+        # A cover bound one above the least ℓ still satisfies Proposition
+        # 16's inequality; only the check one step below rejects it.
+        with pytest.raises(CertificateError, match="cover_bound"):
+            replace(cert, cover_bound=cert.cover_bound + 1).verify()
+
+    @pytest.mark.parametrize("n", [1, 3, 16, 17, 1024, 4099])
+    def test_tampered_bounds_detected(self, n):
+        cert = certificate(n)
+        for field in BOUND_FIELDS:
+            for delta in (-1, 1):
+                broken = replace(cert, **{field: getattr(cert, field) + delta})
+                with pytest.raises(CertificateError, match=field):
+                    broken.verify()
+
+    def test_tampered_shape_detected(self):
+        # At n = 16 the cover bound is 1 with or without the spare factor,
+        # so only the shape check catches a wrong remainder.
+        cert = certificate(16)
+        for broken in (replace(cert, remainder=1), replace(cert, m=3)):
+            with pytest.raises(CertificateError):
+                broken.verify()
 
     def test_certificate_consistent_with_bound_functions(self):
         cert = certificate(64)
@@ -163,3 +203,68 @@ class TestCrossValidationWithEnumeration:
         for n in (2, 3, 4):
             cover = balanced_rectangle_cover(example4_ucfg(n))
             assert multipartition_cover_lower_bound(n) <= cover.n_rectangles
+
+
+def _oracle_certificate_keys(ns, monkeypatch) -> dict[int, tuple]:
+    """Per ``n``: the certificate key and the three bounds, computed by the
+    unchanged assembly around the frozen bisection."""
+    out = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(lower_bound, "_min_ell_against_cube_bound", frozen_min_ell)
+        for n in ns:
+            cert = certificate.__wrapped__(n)
+            out[n] = (cert.to_key(), cert.cover_bound, cert.ucfg_cnf_bound, cert.ucfg_bound)
+    return out
+
+
+class TestClosedFormAgainstFrozenBisection:
+    def test_grid(self):
+        ms = list(range(401)) + list(range(401, 1401, 7))
+        for m in ms:
+            margin = lemma18_margin(m)
+            for factor in (1, 3, 7, NEAT_SPLIT_FACTOR):
+                assert _min_ell_against_cube_bound(
+                    margin, factor, m
+                ) == frozen_min_ell(margin, factor, m), (m, factor)
+
+    def test_seeded_random_triples(self):
+        rng = random.Random(17)
+        for _ in range(400):
+            m = rng.randrange(300)
+            margin = rng.randrange(-4, 1 << rng.randrange(1, 1200))
+            factor = rng.randrange(1, 1000)
+            assert _min_ell_against_cube_bound(
+                margin, factor, m
+            ) == legacy_min_ell_against_cube_bound(margin, factor, m), (margin, factor, m)
+
+    def test_certificates_and_bounds_match_oracle(self, monkeypatch):
+        ns = list(range(1, 1501)) + list(range(1501, 6001, 37))
+        oracle = _oracle_certificate_keys(ns, monkeypatch)
+        for n in ns:
+            assert (
+                certificate(n).to_key(),
+                multipartition_cover_lower_bound(n),
+                ucfg_cnf_size_lower_bound(n),
+                ucfg_size_lower_bound(n),
+            ) == oracle[n], n
+
+
+class TestIntegerCubeRoot:
+    def test_brute_force_below_1e5(self):
+        y = 0
+        for x in range(100_000):
+            while y**3 < x:
+                y += 1
+            assert _icbrt_ceil(x) == y, x
+
+    def test_around_large_cubes(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            k = rng.randrange(2, 1 << rng.randrange(2, 4001))
+            assert _icbrt_ceil(k**3 - 1) == k
+            assert _icbrt_ceil(k**3) == k
+            assert _icbrt_ceil(k**3 + 1) == k + 1
+
+    def test_non_positive(self):
+        assert _icbrt_ceil(0) == 0
+        assert _icbrt_ceil(-27) == 0

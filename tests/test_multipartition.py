@@ -12,6 +12,7 @@ from repro.core.multipartition import (
     verify_balanced_cover,
 )
 from repro.core.setview import word_to_zset
+from repro.errors import CoverBudgetExceeded
 from repro.languages.ln import ln_words
 
 
@@ -61,8 +62,12 @@ class TestMinimumCover:
         assert minimum_balanced_cover(frozenset(), 2) == []
 
     def test_budget_exhaustion_raises(self):
-        with pytest.raises(RuntimeError):
-            minimum_balanced_cover(_targets(2), 2, node_budget=1)
+        target = _targets(2)
+        for budget in (0, 1):
+            with pytest.raises(CoverBudgetExceeded) as info:
+                minimum_balanced_cover(target, 2, node_budget=budget)
+            assert info.value.nodes_expanded == budget + 1
+            assert verify_balanced_cover(info.value.best_cover, target)
 
     def test_verify_rejects_overlap(self):
         cover = minimum_balanced_cover_of_ln(2)

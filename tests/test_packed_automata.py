@@ -46,10 +46,14 @@ from repro.automata import (
     trim_nfa,
 )
 from repro.automata.packed import (
+    _nfa_transfer_rows,
+    _transfer_rows,
     count_runs_by_power,
     count_words_by_power,
     count_words_by_sweep,
     fold_rows,
+    nfa_transfer_counts,
+    transfer_counts,
 )
 from repro.backend import available_backends, use_backend
 from repro.errors import AutomatonError, ReproError
@@ -337,6 +341,37 @@ class TestCountingAgreement:
             dfa = minimise(determinise(nfa))
             words = [w for w in nfa.language_up_to(2 * n) if len(w) == 2 * n]
             assert count_dfa_words_of_length(dfa, 2 * n) == len(words)
+
+
+class TestSparseTransferRows:
+    """The sweeps' sparse rows, read off the tables, are the non-zeros of
+    the dense transfer matrix that the power path squares."""
+
+    @staticmethod
+    def _dense_rows(matrix: list[list[int]]) -> list[list[tuple[int, int]]]:
+        return [[(j, count) for j, count in enumerate(row) if count] for row in matrix]
+
+    def test_dfa_rows(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            sigma = rng.choice(("a", "ab", "abc"))
+            n = rng.randint(1, 12)
+            tables = [[rng.randrange(-1, n) for _ in range(n)] for _ in sigma]
+            pdfa = PackedDFA(sigma, n, tables, 0, 0)
+            assert _transfer_rows(pdfa) == self._dense_rows(transfer_counts(pdfa))
+
+    def test_nfa_rows(self):
+        rng = random.Random(37)
+        for _ in range(200):
+            sigma = rng.choice(("a", "ab", "abc"))
+            n = rng.randint(1, 12)
+            tables = [[rng.getrandbits(n) for _ in range(n)] for _ in sigma]
+            pnfa = PackedNFA(sigma, n, tables, 1, 0)
+            assert _nfa_transfer_rows(pnfa) == self._dense_rows(nfa_transfer_counts(pnfa))
+
+    def test_ln_match_minimal_dfa_rows(self):
+        pdfa = as_packed_dfa(ln_match_minimal_dfa(8))
+        assert _transfer_rows(pdfa) == self._dense_rows(transfer_counts(pdfa))
 
 
 class TestSatelliteRegressions:
