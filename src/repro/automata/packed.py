@@ -29,10 +29,9 @@ Conversion to and from the label-carrying :class:`NFA`/:class:`DFA`
 objects is lossless; ``to_key()`` gives a canonical serialization of the
 renumbered structure for the :mod:`repro.engine` disk cache.  The public
 entry points in :mod:`repro.automata.dfa`, :mod:`repro.automata.ops` and
-:mod:`repro.automata.counting` are thin adapters over the kernels here
-(the PR 2/3 pattern); the implementations they replaced are frozen in
-``tests/legacy_automata.py`` (test oracles) and
-:mod:`repro.automata.bench` (benchmark baselines).
+:mod:`repro.automata.counting` are thin adapters over the kernels here;
+the implementations they replaced are frozen in
+``tests/legacy_automata.py`` as test oracles.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ see docs/ENGINE.md)::
     python -m repro sweep zoo --max-n 4 --jobs 4
     python -m repro cache stats                           # inspect / clear
     python -m repro serve --port 8321                     # the job service
-    python -m repro bench serve                           # its latency bench
     python -m repro backends                              # kernel backends
     python -m repro bench backends                        # their timings
 
@@ -38,6 +37,7 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
+from pathlib import Path
 
 from repro.core.cover import balanced_rectangle_cover
 from repro.errors import ReproError
@@ -49,6 +49,9 @@ from repro.languages.unambiguous_grammar import example4_ucfg
 from repro.util.tables import Table, format_int
 
 __all__ = ["main", "build_parser"]
+
+#: The source checkout: ``src/repro/cli.py`` sits two levels below it.
+_SOURCE_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _build_engine(args: argparse.Namespace):
@@ -92,66 +95,6 @@ def _report_engine(engine) -> None:
         f"engine: wall {summary['wall_ms']:.0f} ms on {summary['workers']} worker(s)",
         file=sys.stderr,
     )
-
-
-def _write_bench_artifact(
-    out: str | None, kind: str, result: dict, backend: str | None = None
-) -> None:
-    """Persist a ``BENCH_*.json`` artifact (shared by every bench command).
-
-    ``backend`` is the run's ``--backend`` selection (``None`` = ambient);
-    the header records the backend the measured code actually ran on.
-    """
-    if not out:
-        return
-    import platform
-    import time
-    from pathlib import Path
-
-    from repro.backend import backend_info
-
-    artifact = {
-        "kind": kind,
-        "generated_at": time.time(),
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "backend": backend_info(backend),
-        **result,
-    }
-    path = Path(out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
-    print(f"bench: wrote {path}", file=sys.stderr)
-
-
-def _add_bench_subparser(
-    bench_sub,
-    name: str,
-    *,
-    help: str,
-    func,
-    arguments: Sequence[tuple[Sequence[str], dict]] = (),
-    engine_opts: bool = True,
-) -> argparse.ArgumentParser:
-    """Register one ``bench <name>`` subcommand with the shared flags.
-
-    Every bench takes the same trailing boilerplate (``--out`` plus the
-    engine options); only the leading measurement-specific arguments
-    differ, so they come in as an ``(flags, kwargs)`` spec list.
-    """
-    parser = bench_sub.add_parser(name, help=help)
-    for flags, kwargs in arguments:
-        parser.add_argument(*flags, **kwargs)
-    parser.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help=f"also write BENCH_{name}.json here",
-    )
-    if engine_opts:
-        _add_engine_options(parser)
-    parser.set_defaults(func=func)
-    return parser
 
 
 def _backend_choices() -> tuple[str, ...]:
@@ -235,8 +178,7 @@ def _cmd_sizes(args: argparse.Namespace) -> int:
 
 
 def _cmd_certificate(args: argparse.Namespace) -> int:
-    cert = certificate(args.n)
-    cert.verify()
+    cert = certificate(args.n)  # verified once, when it was built
     if args.json:
         import json
 
@@ -380,215 +322,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_parsing_table(rows: list[dict]) -> Table:
-    table = Table(
-        ["n", "|w|", "words", "members", "legacy s", "bitset s", "batched s", "speedup"],
-        title="Parsing kernel: per-word counting vs. bitset vs. batched recognition",
-    )
-    for row in rows:
-        table.add_row(
-            [
-                row["n"],
-                row["word_length"],
-                row["n_words"],
-                row["n_members"],
-                f"{row['legacy_s']:.4f}",
-                f"{row['bitset_s']:.4f}",
-                f"{row['batched_s']:.4f}",
-                f"{row['speedup_batched']:.1f}x",
-            ]
-        )
-    return table
-
-
-def _cmd_bench_parsing(args: argparse.Namespace) -> int:
-    # Benchmarks time code, so cached timings from an earlier run would be
-    # stale; always recompute.
-    args.no_cache = True
-    engine = _build_engine(args)
-    result = engine.run_one(
-        "parsing.bench",
-        {"max_n": args.max_n, "n_words": args.n_words, "seed": args.seed},
-    )
-    _bench_parsing_table(result["rows"]).print()
-    _write_bench_artifact(args.out, "parsing_bench", result, args.backend)
-    _report_engine(engine)
-    return 0
-
-
-def _bench_comm_table(rows: list[dict]) -> Table:
-    table = Table(
-        ["p", "side", "rank", "greedy cover", "min cover", "fooling"],
-        title="Communication substrate: legacy (sets/Fractions) vs. packed bitmasks",
-    )
-    for row in rows:
-        cells: list[str] = [str(row["p"]), str(row["matrix_side"])]
-        for name in ("rank_q", "greedy_cover", "min_cover", "fooling"):
-            op = row["ops"][name]
-            if op.get("skipped"):
-                cells.append("-")
-            elif op["packed"]["value"] is None:
-                cells.append("budget out")
-            elif op["legacy"]["value"] is None:
-                cells.append(f"{op['packed']['seconds']:.4f}s (legacy gave up)")
-            else:
-                cells.append(f"{op['packed']['seconds']:.4f}s ({op['speedup']:.1f}x)")
-        table.add_row(cells)
-    return table
-
-
-def _bench_cover_table(rows: list[dict]) -> Table:
-    table = Table(
-        ["p", "side", "min cover", "certified", "nodes", "frozen B&B"],
-        title="Exact cover: branch-and-price solver vs. the frozen branch-and-bound",
-    )
-    for row in rows:
-        cell = row["solver"]["disjoint"]
-        if cell["value"] is None:
-            solved = "budget out"
-            certified = "-"
-        else:
-            solved = f"{cell['value']} in {cell['seconds']:.4f}s"
-            certified = "root" if cell["nodes"] == 0 else "search"
-            if not cell["optimal"]:
-                certified = "no"
-        oracle = row["oracle"]
-        if oracle.get("skipped"):
-            baseline = "- (past the wall)"
-        elif oracle["value"] is None:
-            baseline = "budget out"
-        else:
-            baseline = f"{oracle['value']} in {oracle['seconds']:.4f}s"
-        table.add_row(
-            [
-                str(row["p"]),
-                str(row["matrix_side"]),
-                solved,
-                certified,
-                str(cell["nodes"]),
-                baseline,
-            ]
-        )
-    return table
-
-
-def _cmd_bench_comm(args: argparse.Namespace) -> int:
-    # Benchmarks time code, so cached timings from an earlier run would be
-    # stale; always recompute.
-    args.no_cache = True
-    engine = _build_engine(args)
-    result = engine.run_one(
-        "comm.bench",
-        {
-            "max_p": args.max_p,
-            "max_cover_p": args.max_cover_p,
-            "max_m": args.max_m,
-            "node_budget": args.node_budget,
-            "budget_s": args.budget_s,
-        },
-    )
-    _bench_comm_table(result["rows"]).print()
-    _bench_cover_table(result["cover_rows"]).print()
-    cover_summary = result["cover_summary"]
-    print(
-        f"cover solver frontier: certified p={cover_summary['largest_certified_p']} "
-        f"(frozen B&B wall: p={cover_summary['largest_oracle_p']}), "
-        f"root-certified at p={cover_summary['root_certified_ps']}"
-    )
-    for row in result["disc_rows"]:
-        print(
-            f"discrepancy (split sign matrix, m={row['m']}, "
-            f"{row['matrix_side']}x{row['matrix_side']}): "
-            f"{row['packed']['seconds']:.4f}s ({row['speedup']:.1f}x), "
-            f"max_disc={row['max_disc']}"
-        )
-    summary = result["summary"]["ops"]
-    for name in sorted(summary):
-        op = summary[name]
-        frontier = op["largest_p_within_budget"]
-        parts = [f"legacy reaches p={frontier['legacy']}", f"packed p={frontier['packed']}"]
-        if op.get("speedup_at_largest_common") is not None:
-            parts.append(
-                f"{op['speedup_at_largest_common']:.1f}x at p={op['largest_common_p']}"
-            )
-        print(f"{name}: " + ", ".join(parts))
-    _write_bench_artifact(args.out, "comm_bench", result, args.backend)
-    _report_engine(engine)
-    return 0
-
-
-def _bench_automata_table(rows: list[dict]) -> Table:
-    table = Table(
-        ["n", "determinise", "minimise", "ambiguity"],
-        title="Automata engine: legacy (frozensets/dicts) vs. packed bit-parallel kernels",
-    )
-    for row in rows:
-        cells: list[str] = [str(row["n"])]
-        for name in ("determinise", "minimise", "ambiguity"):
-            op = row["ops"][name]
-            if op.get("skipped"):
-                cells.append("-")
-            elif op["legacy"].get("skipped"):
-                cells.append(f"{op['packed']['seconds']:.4f}s (legacy capped)")
-            else:
-                cells.append(f"{op['packed']['seconds']:.4f}s ({op['speedup']:.1f}x)")
-        table.add_row(cells)
-    return table
-
-
-def _cmd_bench_automata(args: argparse.Namespace) -> int:
-    # Benchmarks time code, so cached timings from an earlier run would be
-    # stale; always recompute.
-    args.no_cache = True
-    engine = _build_engine(args)
-    result = engine.run_one(
-        "automata.bench",
-        {
-            "max_n": args.max_n,
-            "max_count_exp": args.max_count_exp,
-            "budget_s": args.budget_s,
-        },
-    )
-    _bench_automata_table(result["rows"]).print()
-    for row in result["count_rows"]:
-        side = (
-            f"({row['speedup']:.1f}x)"
-            if "speedup" in row
-            else "(legacy capped)"
-        )
-        print(
-            f"counting (length 2^{row['exp']}, unique-match n={row['n']}): "
-            f"{row['packed']['seconds']:.4f}s {side}"
-        )
-    summary = result["summary"]["ops"]
-    for name in sorted(summary):
-        op = summary[name]
-        if name == "counting":
-            frontier = op["largest_exp_within_budget"]
-            parts = [
-                f"legacy reaches exp={frontier['legacy']}",
-                f"packed exp={frontier['packed']}",
-            ]
-            if op.get("speedup_at_largest_common") is not None:
-                parts.append(
-                    f"{op['speedup_at_largest_common']:.1f}x at exp={op['largest_common_exp']}"
-                )
-        else:
-            frontier = op["largest_n_within_budget"]
-            parts = [
-                f"legacy reaches n={frontier['legacy']}",
-                f"packed n={frontier['packed']}",
-            ]
-            if op.get("speedup_at_largest_common") is not None:
-                parts.append(
-                    f"{op['speedup_at_largest_common']:.1f}x at n={op['largest_common_n']}"
-                )
-        print(f"{name}: " + ", ".join(parts))
-    _write_bench_artifact(args.out, "automata_bench", result, args.backend)
-    _report_engine(engine)
-    return 0
-
-
 def _cmd_backends(args: argparse.Namespace) -> int:
     from repro.backend import BACKEND_CLASSES, get_backend, numpy_version
 
@@ -644,6 +377,19 @@ def _bench_backends_table(result: dict) -> Table:
     return table
 
 
+def _git(*args: str) -> str | None:
+    """``git <args>`` in the source checkout; ``None`` if git fails."""
+    import subprocess
+
+    try:
+        proc = subprocess.run(
+            ["git", *args], cwd=_SOURCE_ROOT, capture_output=True, text=True, timeout=20
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
 def _cmd_bench_backends(args: argparse.Namespace) -> int:
     # Benchmarks time code, so cached timings from an earlier run would be
     # stale; always recompute.
@@ -653,7 +399,32 @@ def _cmd_bench_backends(args: argparse.Namespace) -> int:
         "backends.bench", {"repeats": args.repeats, "seed": args.seed}
     )
     _bench_backends_table(result).print()
-    _write_bench_artifact(args.out, "backends_bench", result, args.backend)
+    if args.out:
+        import platform
+        import time
+
+        from repro.backend import backend_info
+
+        # Only a checkout that is itself a git work tree has a sha of its
+        # own; asking git from an installed copy could report an
+        # enclosing repository.
+        sha = _git("rev-parse", "HEAD") if (_SOURCE_ROOT / ".git").exists() else None
+        status = _git("status", "--porcelain", "--untracked-files=no") if sha else None
+        artifact = {
+            "kind": "backends_bench",
+            "generated_at": time.time(),
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            # The backend the measured code actually ran on.
+            "backend": backend_info(args.backend),
+            "git_sha": sha,
+            "git_dirty": None if status is None else bool(status),
+            **result,
+        }
+        path = Path(args.out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
+        print(f"bench: wrote {path}", file=sys.stderr)
     _report_engine(engine)
     return 0
 
@@ -692,128 +463,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         pass
     return 0
-
-
-def _bench_serve_table(rows: list[dict]) -> Table:
-    table = Table(
-        ["conc", "requests", "errors", "rps", "p50 ms", "p99 ms", "mean ms"],
-        title="serve: latency/throughput vs. concurrency",
-    )
-    for row in rows:
-        table.add_row(
-            [
-                row["concurrency"],
-                row["requests"],
-                row["errors"],
-                row["throughput_rps"],
-                row["p50_ms"],
-                row["p99_ms"],
-                row["mean_ms"],
-            ]
-        )
-    return table
-
-
-def _cmd_bench_serve(args: argparse.Namespace) -> int:
-    from repro.serve import run_serve_bench
-
-    try:
-        levels = tuple(int(part) for part in args.concurrency.split(",") if part.strip())
-    except ValueError:
-        print(f"error: bad --concurrency list {args.concurrency!r}", file=sys.stderr)
-        return 2
-    if not levels or any(level < 1 for level in levels):
-        print("error: --concurrency needs positive integers", file=sys.stderr)
-        return 2
-    result = run_serve_bench(
-        concurrency_levels=levels,
-        requests=args.requests,
-        hot_ratio=args.hot_ratio,
-    )
-    _bench_serve_table(result["rows"]).print()
-    if not result.get("clean_shutdown"):
-        print("bench: server did not drain cleanly", file=sys.stderr)
-    _write_bench_artifact(args.out, "serve_bench", result)
-    return 0
-
-
-def _bench_extract_tables(result: dict) -> tuple[Table, Table]:
-    backends = Table(
-        ["backend", "docs/s", "rows/s", "vs naive", "bit-exact"],
-        title=(
-            "extract: compiled packed scanner vs. the naive per-document "
-            "CFG recogniser (single process)"
-        ),
-    )
-    for row in result["backends"]:
-        backends.add_row(
-            [
-                row["backend"],
-                f"{row['docs_per_sec']:,.0f}",
-                f"{row['rows_per_sec']:,.0f}",
-                f"{row['speedup_vs_naive']:,.1f}x",
-                "yes" if row["bit_exact"] else "NO",
-            ]
-        )
-    scaling = Table(
-        ["workers", "wall s", "docs/s (wall)", "busy s", "docs/s per core"],
-        title="extract: scaling vs. engine workers "
-        f"({result['cores']} core(s) on this host)",
-    )
-    for row in result["scaling"]["rows"]:
-        scaling.add_row(
-            [
-                row["workers"],
-                f"{row['wall_s']:.3f}",
-                f"{row['docs_per_sec']:,.0f}",
-                f"{row['busy_s']:.3f}",
-                f"{row['docs_per_busy_sec']:,.0f}",
-            ]
-        )
-    return backends, scaling
-
-
-def _cmd_bench_extract(args: argparse.Namespace) -> int:
-    from repro.extract.bench import run_extract_bench
-
-    try:
-        workers = tuple(int(part) for part in args.workers.split(",") if part.strip())
-        columns = tuple(int(part) for part in args.columns.split(",") if part.strip())
-    except ValueError:
-        print("error: --workers and --columns need integer lists", file=sys.stderr)
-        return 2
-    if not workers or any(level < 1 for level in workers):
-        print("error: --workers needs positive integers", file=sys.stderr)
-        return 2
-    result = run_extract_bench(
-        c=args.c,
-        w=args.w,
-        columns=columns,
-        relation=args.relation,
-        docs=args.docs,
-        chunk_chars=args.chunk_chars,
-        seed=args.seed,
-        match_bias=args.match_bias,
-        workers=workers,
-        shards=args.shards,
-        naive_docs=args.naive_docs,
-        verify_docs=args.verify_docs,
-        backend=args.backend,
-    )
-    backends, scaling = _bench_extract_tables(result)
-    backends.print()
-    scaling.print()
-    criteria = result["criteria"]
-    print(
-        "criteria: "
-        + ", ".join(f"{name}={'ok' if ok else 'FAIL'}" for name, ok in criteria.items()),
-        file=sys.stderr,
-    )
-    _write_bench_artifact(args.out, "extract_bench", result, args.backend)
-    # Correctness criteria gate the exit code; perf criteria are recorded
-    # in the artifact but must not flake a smoke run on a noisy host.
-    correct = criteria["bit_exact_all_backends"] and criteria["checksums_agree"]
-    return 0 if correct else 1
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -919,221 +568,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_options(sweep_zoo)
     sweep_zoo.set_defaults(func=_cmd_sweep, target="zoo")
 
-    bench = sub.add_parser("bench", help="benchmark a subsystem against its baseline")
+    bench = sub.add_parser("bench", help="time the kernel backends")
     bench_sub = bench.add_subparsers(dest="target", required=True)
-    _add_bench_subparser(
-        bench_sub,
-        "parsing",
-        help="cold vs. bitset vs. batched chart fill over L_n sweeps",
-        func=_cmd_bench_parsing,
-        arguments=(
-            (
-                ("--max-n",),
-                dict(type=int, default=12, help="largest n in the sweep (default 12)"),
-            ),
-            (
-                ("--n-words",),
-                dict(type=int, default=24, help="words sampled per n (default 24)"),
-            ),
-            (("--seed",), dict(type=int, default=0, help="sampling seed")),
-        ),
+    bench_backends = bench_sub.add_parser(
+        "backends", help="time every kernel backend on each primitive family, bit-exact"
     )
-    _add_bench_subparser(
-        bench_sub,
-        "comm",
-        help="legacy vs. packed communication substrate over INTERSECT_p",
-        func=_cmd_bench_comm,
-        arguments=(
-            (
-                ("--max-p",),
-                dict(type=int, default=6, help="largest p in the sweep (default 6)"),
-            ),
-            (
-                ("--max-cover-p",),
-                dict(
-                    type=int,
-                    default=6,
-                    help="largest p for the exact cover-solver rows (default 6)",
-                ),
-            ),
-            (
-                ("--max-m",),
-                dict(
-                    type=int,
-                    default=2,
-                    help="largest m for the sign-matrix discrepancy rows (<= 2, default 2)",
-                ),
-            ),
-            (
-                ("--node-budget",),
-                dict(
-                    type=int,
-                    default=2_000_000,
-                    help="branch-and-bound node cap for the exact cover (default 2000000)",
-                ),
-            ),
-            (
-                ("--budget-s",),
-                dict(
-                    type=float,
-                    default=5.0,
-                    help="per-op time budget defining the reachability frontier (default 5.0)",
-                ),
-            ),
-        ),
+    bench_backends.add_argument(
+        "--repeats", type=int, default=5, help="timing runs per cell, min kept (default 5)"
     )
-    _add_bench_subparser(
-        bench_sub,
-        "automata",
-        help="legacy vs. packed automata kernels over the L_n family",
-        func=_cmd_bench_automata,
-        arguments=(
-            (
-                ("--max-n",),
-                dict(type=int, default=48, help="largest n in the sweep (default 48)"),
-            ),
-            (
-                ("--max-count-exp",),
-                dict(
-                    type=int,
-                    default=24,
-                    help="largest exponent for counting words of length 2^exp (default 24)",
-                ),
-            ),
-            (
-                ("--budget-s",),
-                dict(
-                    type=float,
-                    default=5.0,
-                    help="per-op time budget defining the reachability frontier (default 5.0)",
-                ),
-            ),
-        ),
+    bench_backends.add_argument("--seed", type=int, default=0, help="workload seed")
+    bench_backends.add_argument(
+        "--out", default=None, metavar="PATH", help="also write BENCH_backends.json here"
     )
-    _add_bench_subparser(
-        bench_sub,
-        "backends",
-        help="time every kernel backend on each primitive family, bit-exact",
-        func=_cmd_bench_backends,
-        arguments=(
-            (
-                ("--repeats",),
-                dict(type=int, default=5, help="timing runs per cell, min kept (default 5)"),
-            ),
-            (("--seed",), dict(type=int, default=0, help="workload seed")),
-        ),
-    )
-    _add_bench_subparser(
-        bench_sub,
-        "serve",
-        help="job-service latency/throughput at rising concurrency",
-        func=_cmd_bench_serve,
-        engine_opts=False,
-        arguments=(
-            (
-                ("--concurrency",),
-                dict(
-                    default="1,4,16",
-                    metavar="N,N,...",
-                    help="comma-separated concurrency levels (default 1,4,16)",
-                ),
-            ),
-            (
-                ("--requests",),
-                dict(type=int, default=200, help="requests per level (default 200)"),
-            ),
-            (
-                ("--hot-ratio",),
-                dict(
-                    type=float,
-                    default=0.7,
-                    help="fraction of requests hitting the hot key set (default 0.7)",
-                ),
-            ),
-        ),
-    )
-
-    _add_bench_subparser(
-        bench_sub,
-        "extract",
-        help="streaming spanner extraction: rows/sec per backend + worker scaling",
-        func=_cmd_bench_extract,
-        engine_opts=False,
-        arguments=(
-            (("--c",), dict(type=int, default=8, help="columns per row (default 8)")),
-            (("--w",), dict(type=int, default=2, help="column width (default 2)")),
-            (
-                ("--columns",),
-                dict(
-                    default="1,2,3,4",
-                    metavar="J,J,...",
-                    help="selected column set S (default 1,2,3,4)",
-                ),
-            ),
-            (
-                ("--relation",),
-                dict(
-                    choices=("match", "leq"),
-                    default="match",
-                    help="column relation (default match)",
-                ),
-            ),
-            (
-                ("--docs",),
-                dict(type=int, default=40_000, help="documents per stream (default 40000)"),
-            ),
-            (
-                ("--chunk-chars",),
-                dict(type=int, default=1 << 16, help="chunk size in chars (default 65536)"),
-            ),
-            (("--seed",), dict(type=int, default=0, help="stream seed")),
-            (
-                ("--match-bias",),
-                dict(
-                    type=float,
-                    default=0.25,
-                    help="probability of planting a related column (default 0.25)",
-                ),
-            ),
-            (
-                ("--workers",),
-                dict(
-                    default="1,2,4,8",
-                    metavar="N,N,...",
-                    help="engine worker counts for the scaling curve (default 1,2,4,8)",
-                ),
-            ),
-            (
-                ("--shards",),
-                dict(type=int, default=8, help="scan shards per scaling run (default 8)"),
-            ),
-            (
-                ("--naive-docs",),
-                dict(
-                    type=int,
-                    default=300,
-                    help="documents timed through the naive CFG baseline (default 300)",
-                ),
-            ),
-            (
-                ("--verify-docs",),
-                dict(
-                    type=int,
-                    default=1500,
-                    help="documents cross-checked against both oracles per backend "
-                    "(default 1500)",
-                ),
-            ),
-            (
-                ("--backend",),
-                dict(
-                    choices=_backend_choices(),
-                    default=None,
-                    help="pin the kernel backend for the scaling runs",
-                ),
-            ),
-        ),
-    )
+    _add_engine_options(bench_backends)
+    bench_backends.set_defaults(func=_cmd_bench_backends)
 
     serve = sub.add_parser(
         "serve", help="run the async multi-tenant job service (see docs/SERVE.md)"

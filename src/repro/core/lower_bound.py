@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.core.discrepancy import lemma18_margin, lemma19_bound
-from repro.errors import CertificateError
+from repro.errors import CertificateError, require_int
 
 __all__ = [
     "LowerBoundCertificate",
@@ -90,6 +90,30 @@ def _min_ell_against_cube_bound(margin: int, factor: int, m: int) -> int:
     return _ceil_div(_icbrt_ceil(-(-(margin**3) >> (10 * m))), factor)
 
 
+def _fixed_partition_bound(margin: int, m: int) -> int:
+    """``max(1, ⌈margin / 2^{3m}⌉)``: a ceiling shift by Lemma 19's cap."""
+    return max(1, -(-margin >> 3 * m))
+
+
+def _cover_bound(margin: int, t: int, remainder: int) -> int:
+    """Proposition 16's least ``ℓ ≥ 1`` for ``n = 4t + remainder``, ``t ≥ 1``."""
+    ell = _min_ell_against_cube_bound(margin, NEAT_SPLIT_FACTOR, t)
+    if remainder:
+        ell = _ceil_div(ell, SPARE_ELEMENT_FACTOR)
+    return max(1, ell)
+
+
+def _cnf_bound(cover_bound: int, n: int) -> int:
+    """Proposition 7: ``ℓ ≤ 2n · |G_CNF|``."""
+    return max(1, _ceil_div(cover_bound, 2 * n))
+
+
+def _general_bound(cnf_bound: int) -> int:
+    """CNF conversion: ``|G_CNF| ≤ |G|²``, so ``⌈√cnf_bound⌉``."""
+    root = math.isqrt(cnf_bound)
+    return root if root * root == cnf_bound else root + 1
+
+
 def fixed_partition_cover_lower_bound(n: int) -> int:
     """Theorem 17: every disjoint cover of ``L_n`` by ``[1, n]``-rectangles
     has at least this many rectangles (``n`` divisible by 4 required).
@@ -100,10 +124,7 @@ def fixed_partition_cover_lower_bound(n: int) -> int:
     if n % 4:
         raise ValueError("Theorem 17 as computed here needs n divisible by 4")
     m = n // 4
-    margin = lemma18_margin(m)
-    if margin <= 0:
-        return 1  # a cover always needs at least one rectangle
-    return max(1, _ceil_div(margin, lemma19_bound(m)))
+    return _fixed_partition_bound(lemma18_margin(m), m)
 
 
 def multipartition_cover_lower_bound(n: int) -> int:
@@ -121,17 +142,12 @@ def multipartition_cover_lower_bound(n: int) -> int:
     t, remainder = divmod(n, 4)
     if t == 0:
         return 1
-    margin = lemma18_margin(t)
-    ell = _min_ell_against_cube_bound(margin, NEAT_SPLIT_FACTOR, t)
-    if remainder:
-        ell = _ceil_div(ell, SPARE_ELEMENT_FACTOR)
-    return max(1, ell)
+    return _cover_bound(lemma18_margin(t), t, remainder)
 
 
 def ucfg_cnf_size_lower_bound(n: int) -> int:
     """Theorem 12 for CNF grammars: ``|G| ≥ ℓ_min / (2n)`` via Prop. 7."""
-    ell = multipartition_cover_lower_bound(n)
-    return max(1, _ceil_div(ell, 2 * n))
+    return _cnf_bound(multipartition_cover_lower_bound(n), n)
 
 
 def _lemma18_threshold(margin: int, m: int) -> bool:
@@ -150,9 +166,7 @@ def ucfg_size_lower_bound(n: int) -> int:
     ``|G_CNF| ≤ |G|²`` (Section 2), so the final bound is the ceiling of
     the square root of :func:`ucfg_cnf_size_lower_bound`.
     """
-    cnf_bound = ucfg_cnf_size_lower_bound(n)
-    root = math.isqrt(cnf_bound)
-    return root if root * root == cnf_bound else root + 1
+    return _general_bound(ucfg_cnf_size_lower_bound(n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -299,9 +313,11 @@ def verify_discrepancy_caps(m: int, *, engine=None) -> dict:
     }
 
 
-@lru_cache(maxsize=256)
 def certificate(n: int) -> LowerBoundCertificate:
     """Assemble and verify the full lower-bound certificate for ``L_n``.
+
+    ``n`` must be an int: ``True`` or ``16.0`` hash equal to ``1`` and
+    ``16``, so they are refused before the cache could answer for them.
 
     >>> cert = certificate(16)
     >>> cert.m, cert.margin
@@ -309,17 +325,23 @@ def certificate(n: int) -> LowerBoundCertificate:
     >>> cert.lemma18_threshold_holds
     True
     """
+    require_int("n", n)
+    return _certificate(n)
+
+
+@lru_cache(maxsize=256)
+def _certificate(n: int) -> LowerBoundCertificate:
+    """Build :func:`certificate`'s result: each bound derived once from the
+    one margin, then verified once before it is cached."""
     from repro.core.discrepancy import size_a, size_b, size_b_minus_ln, size_script_l
 
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     m, remainder = divmod(n, 4)
-    if m == 0:
-        m_eff = 1  # degenerate; quantities reported for m = 1
-    else:
-        m_eff = m
+    m_eff = max(1, m)  # degenerate n < 4: quantities reported for m = 1
     margin = lemma18_margin(m_eff)
-    threshold = _lemma18_threshold(margin, m_eff)
+    cover_bound = _cover_bound(margin, m, remainder) if m else 1
+    cnf_bound = _cnf_bound(cover_bound, n)
     cert = LowerBoundCertificate(
         n=n,
         m=m_eff,
@@ -329,13 +351,11 @@ def certificate(n: int) -> LowerBoundCertificate:
         size_b=size_b(m_eff),
         size_b_minus_ln=size_b_minus_ln(m_eff),
         margin=margin,
-        lemma18_threshold_holds=threshold,
-        fixed_partition_bound=(
-            fixed_partition_cover_lower_bound(4 * m_eff) if n >= 4 else 1
-        ),
-        cover_bound=multipartition_cover_lower_bound(n),
-        ucfg_cnf_bound=ucfg_cnf_size_lower_bound(n),
-        ucfg_bound=ucfg_size_lower_bound(n),
+        lemma18_threshold_holds=_lemma18_threshold(margin, m_eff),
+        fixed_partition_bound=_fixed_partition_bound(margin, m_eff) if m else 1,
+        cover_bound=cover_bound,
+        ucfg_cnf_bound=cnf_bound,
+        ucfg_bound=_general_bound(cnf_bound),
     )
     cert.verify()
     return cert

@@ -28,6 +28,7 @@ __all__ = [
     "UnknownJobError",
     "JobFailedError",
     "JobTimeoutError",
+    "require_int",
 ]
 
 
@@ -183,3 +184,20 @@ class JobTimeoutError(EngineError):
     own request was timed out and dropped under ``on_timeout="skip"``
     (sibling jobs keep their results).
     """
+
+
+def require_int(name: str, value: object) -> None:
+    """Raise :class:`ReproError` naming ``name`` unless ``value`` is an int.
+
+    A ``bool`` is refused too.  Parameters that arrive as JSON or as
+    ``-p name=value`` may be bools, floats or strings, which Python would
+    otherwise accept as ints, truncate, or hash equal to an int.
+
+    >>> require_int("n", 16)
+    >>> require_int("n", True)
+    Traceback (most recent call last):
+    ...
+    repro.errors.ReproError: n must be an int, got True
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ReproError(f"{name} must be an int, got {value!r}")

@@ -26,8 +26,7 @@ other than ``a``/``b`` anywhere in a chunk raises
 Three oracles live here too: :func:`semantic_scan` (per-document brute
 force), :func:`batched_oracle_scan` (grammar-side verification through
 :class:`~repro.kernel.batch.BatchedRecognizer` prefix sharing), and
-:func:`naive_cfg_scan` — the frozen per-document CFG-chart baseline the
-benchmark measures against.
+:func:`naive_cfg_scan` — the frozen per-document CFG-chart baseline.
 """
 
 from __future__ import annotations
@@ -259,7 +258,8 @@ def naive_cfg_scan(spec: StreamSpec, lo: int = 0, hi: int | None = None) -> dict
     """The frozen baseline: an independent CFG chart per document.
 
     This is exactly what ``repro.spanners`` offered before this module
-    existed — the benchmark's ≥8x claim is measured against it.
+    existed; the compiled scanner ran 240–253x faster on every backend
+    (docs/EXTRACT.md).
     """
     lo, hi = spec.resolve_range(lo, hi)
     grammar = to_cnf(column_relation_cfg(spec.c, spec.w, spec.columns, spec.pairs()))

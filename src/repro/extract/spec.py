@@ -29,7 +29,7 @@ import struct
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from repro.errors import ReproError
+from repro.errors import ReproError, require_int
 from repro.words.alphabet import AB
 from repro.words.ops import all_words
 
@@ -76,11 +76,6 @@ def _block_words(doc_len: int) -> int:
     """Words per draw: the body expects ``2 * doc_len``; the slack makes a
     second draw rare for a whole document."""
     return 2 * doc_len + 4 * math.isqrt(doc_len) + 16
-
-
-def _require_int(name: str, value: object) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ReproError(f"{name} must be an int, got {value!r}")
 
 
 def _check_pair_budget(relation: str, w: int) -> None:
@@ -143,7 +138,7 @@ class StreamSpec:
 
     def __post_init__(self) -> None:
         for name in ("c", "w", "n_docs", "seed"):
-            _require_int(name, getattr(self, name))
+            require_int(name, getattr(self, name))
         if self.c < 1 or self.w < 1:
             raise ReproError("c and w must be positive")
         try:
@@ -151,7 +146,7 @@ class StreamSpec:
         except TypeError:
             raise ReproError(f"columns must be a sequence of ints, got {self.columns!r}") from None
         for j in given:
-            _require_int("columns", j)
+            require_int("columns", j)
         cols = tuple(sorted(set(given)))
         if not cols:
             raise ReproError("columns must be non-empty")

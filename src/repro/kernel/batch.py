@@ -7,8 +7,8 @@ in sorted order and keeps every chart cell ``(i, j)`` whose span lies
 inside the shared prefix, so only the suffix of the chart is refilled.
 Cells are bitset-packed (one machine integer per cell, as in
 :func:`repro.kernel.chart.recognise_cnf`), which combined with prefix
-sharing is what makes the batched path beat per-word recognition on the
-``parsing.bench`` trajectory.
+sharing is what makes the batched path beat per-word recognition on
+``L_n`` sweeps (docs/KERNEL.md records the measurement).
 """
 
 from __future__ import annotations

@@ -14,9 +14,8 @@ long-running service surface:
 * a **shared hot LRU** in front of the disk cache so repeat hits never
   touch disk (:mod:`repro.serve.hot`);
 * **run-log event streaming** per execution (:mod:`repro.serve.events`);
-* **clients** and the ``debug.storm`` / ``bench serve`` load harnesses
-  (:mod:`repro.serve.client`, :mod:`repro.serve.storm`,
-  :mod:`repro.serve.bench`).
+* **clients** and the ``debug.storm`` load harness
+  (:mod:`repro.serve.client`, :mod:`repro.serve.storm`).
 
 Quickstart::
 
@@ -27,11 +26,10 @@ Quickstart::
     print(client.run("certificate", {"n": 64}).data["result"]["margin"])
     server.stop()
 
-``python -m repro serve`` and ``python -m repro bench serve`` are thin
-front ends over exactly this API; see docs/SERVE.md.
+``python -m repro serve`` is a thin front end over exactly this API;
+see docs/SERVE.md.
 """
 
-from repro.serve.bench import run_serve_bench
 from repro.serve.broker import Broker, ServeHTTPError
 from repro.serve.client import AsyncServeClient, ServeClient, ServeResult
 from repro.serve.coalesce import Coalescer, Execution
@@ -57,5 +55,4 @@ __all__ = [
     "AsyncServeClient",
     "ServeResult",
     "run_storm",
-    "run_serve_bench",
 ]

@@ -4,8 +4,8 @@ for load generation.
 Both speak plain HTTP/1.1 with stdlib machinery only.
 :class:`ServeClient` opens one :mod:`http.client` connection per call
 (simple, thread-safe by construction); :class:`AsyncServeClient` holds a
-keep-alive connection per instance, which is what gives the storm and
-bench harnesses realistic per-connection pipelines.
+keep-alive connection per instance, which is what gives the storm
+harness realistic per-connection pipelines.
 """
 
 from __future__ import annotations

@@ -70,7 +70,7 @@ class RateLimiter:
 
     ``rate=None`` disables limiting entirely (every check is granted).
     Thread-safe; the server calls it from the event loop only, but the
-    storm/bench harnesses may poke it from test threads.
+    storm harness may poke it from test threads.
     """
 
     def __init__(

@@ -177,9 +177,9 @@ class ReproServer:
     * ``run_blocking()`` — the CLI path: owns the loop in the calling
       (usually main) thread, installs signal handlers, serves until a
       signal or ``POST /shutdown``.
-    * ``start()`` / ``stop()`` — the embedded path used by tests, the
-      storm generator and the bench harness: the loop runs in a daemon
-      thread; ``start()`` returns once the port is bound.
+    * ``start()`` / ``stop()`` — the embedded path used by tests and
+      the storm generator: the loop runs in a daemon thread; ``start()``
+      returns once the port is bound.
     """
 
     def __init__(self, config: ServeConfig, registry: JobRegistry | None = None):

@@ -7,6 +7,14 @@ and ``Fraction``-based implementations they replaced were preserved here
 them on every input.  These functions are frozen reference code,
 mirroring ``tests/legacy_parsers.py``: do not refactor them onto the
 packed representation, that would make the cross-check circular.
+
+This module is the one copy of these oracles; nothing under ``src/``
+imports or repeats them.  The two exact-cover oracles
+(``legacy_minimum_disjoint_cover`` and ``frozen_packed_minimum_cover``)
+branch only on maximal rectangles, as the solver does, so agreeing with
+them does not show that a disjoint cover is minimum.  The all-rectangle
+``exhaustive_minimum_cover`` in ``tests/test_cover_solver.py`` is the
+oracle that does not share that choice.
 """
 
 from __future__ import annotations

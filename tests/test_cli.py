@@ -122,3 +122,50 @@ class TestCertificateJson:
         assert main(["certificate", "65536", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert isinstance(payload["n"], int)
+
+
+class TestBenchBackends:
+    def test_bench_offers_only_backends(self):
+        bench = build_parser().parse_args(["bench", "backends", "--repeats", "1"])
+        assert (bench.target, bench.repeats, bench.seed, bench.out) == ("backends", 1, 0, None)
+        for retired in ("parsing", "comm", "automata", "extract", "serve"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["bench", retired])
+
+    def test_artifact_names_its_commit(self, tmp_path, monkeypatch):
+        import json
+        import shutil
+        import subprocess
+
+        from repro import cli
+
+        if shutil.which("git") is None:
+            pytest.skip("needs the git executable")
+        checkout = tmp_path / "checkout"
+        checkout.mkdir()
+
+        def git(*args: str) -> str:
+            return subprocess.run(
+                ["git", "-C", str(checkout), *args],
+                capture_output=True, text=True, check=True,
+            ).stdout.strip()
+
+        def artifact(root) -> dict:
+            monkeypatch.setattr(cli, "_SOURCE_ROOT", root)
+            out = tmp_path / "BENCH_backends.json"
+            assert main(["bench", "backends", "--repeats", "1", "--out", str(out)]) == 0
+            return json.loads(out.read_text())
+
+        git("init", "-q")
+        (checkout / "tracked.txt").write_text("one\n")
+        git("add", "tracked.txt")
+        git("-c", "user.name=t", "-c", "user.email=t@example.invalid",
+            "-c", "commit.gpgsign=false", "commit", "-qm", "c")
+        clean = artifact(checkout)
+        assert clean["kind"] == "backends_bench" and clean["rows"]
+        assert (clean["git_sha"], clean["git_dirty"]) == (git("rev-parse", "HEAD"), False)
+        (checkout / "tracked.txt").write_text("two\n")
+        assert artifact(checkout)["git_dirty"] is True
+        # Outside a git work tree both fields are null.
+        plain = artifact(tmp_path)
+        assert (plain["git_sha"], plain["git_dirty"]) == (None, None)

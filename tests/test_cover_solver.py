@@ -178,7 +178,9 @@ class TestOracles:
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_frozen_packed_oracle_intersection(self, p):
         pm = PackedMatrix.from_comm(intersection_matrix(p))
-        assert solve_cover(pm).size == len(frozen_packed_minimum_cover(pm))
+        result = solve_cover(pm)
+        assert result.size == len(frozen_packed_minimum_cover(pm))
+        assert result.optimal and result.nodes_expanded == 0  # root-certified
 
 
 # ----------------------------------------------------------------------
@@ -403,7 +405,7 @@ class TestBackends:
 
 
 # ----------------------------------------------------------------------
-# The engine job family and the bench rows
+# The engine job family
 # ----------------------------------------------------------------------
 
 
@@ -431,27 +433,6 @@ class TestJobsAndBench:
         assert overlapping["size"] <= disjoint["size"]
         assert disjoint["size"] == exhaustive_minimum_cover(matrix, True)
         assert overlapping["size"] == exhaustive_minimum_cover(matrix, False)
-
-    def test_bench_cover_row_cross_checks_and_skips_past_wall(self):
-        from repro.comm.bench import bench_cover_row
-
-        row = bench_cover_row(3, node_budget=200_000)
-        assert row["solver"]["disjoint"]["value"] == 7
-        assert row["solver"]["cover"]["value"] == 3
-        assert row["oracle"]["value"] == 7 and row["oracle"]["agree"]
-        past = bench_cover_row(5, node_budget=200_000, oracle_max_p=4)
-        assert past["oracle"] == {"skipped": True}
-        assert past["solver"]["disjoint"]["value"] == 31
-        assert past["solver"]["disjoint"]["optimal"]
-
-    def test_summarise_cover_rows_frontier(self):
-        from repro.comm.bench import bench_cover_row, summarise_cover_rows
-
-        rows = [bench_cover_row(p, node_budget=200_000) for p in (2, 3, 4, 5)]
-        summary = summarise_cover_rows(rows, budget_s=60.0)
-        assert summary["largest_certified_p"] == 5
-        assert summary["largest_oracle_p"] == 4
-        assert summary["root_certified_ps"] == [2, 3, 4, 5]
 
     def test_cover_result_to_json_round_trips_through_json(self):
         import json

@@ -564,24 +564,3 @@ class TestBackendRouting:
             assert get_backend().name == "words"
         assert scanner._backend.name == "reference"
         assert result == StreamScanner(compiled).scan_chunks([SPEC.text()])
-
-    def test_bench_smoke(self):
-        from repro.extract.bench import run_extract_bench
-
-        result = run_extract_bench(
-            c=2,
-            w=1,
-            columns=(1, 2),
-            docs=400,
-            chunk_chars=256,
-            workers=(1,),
-            shards=2,
-            naive_docs=40,
-            verify_docs=100,
-        )
-        # Correctness criteria must hold at any scale; the perf criteria
-        # (8x, monotone scaling) are only meaningful at bench scale.
-        assert result["criteria"]["bit_exact_all_backends"]
-        assert result["criteria"]["checksums_agree"]
-        assert result["naive"]["docs_per_sec"] > 0
-        assert len(result["scaling"]["rows"]) == 1

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from repro.errors import (
@@ -31,6 +34,8 @@ from repro.kernel import (
     symbol_min_lengths,
     uniform_symbol_lengths,
 )
+from repro.languages.ln import is_in_ln, iter_ln
+from repro.languages.small_grammar import small_ln_grammar
 
 
 def ambiguous_cnf() -> CFG:
@@ -218,6 +223,23 @@ class TestBatchedRecognizer:
         # Deliberately adversarial order: long, short, shared prefixes.
         for word in ["aaabbb", "ab", "aabb", "aa", "aaab", "aaabbb", ""]:
             assert batch.recognises(word) == recognise_cnf(g, word)
+
+    def test_ln_sweeps_agree_with_membership(self):
+        # The counting chart, the bitset chart and the batched filler all
+        # decide L_n on the CNF of the Appendix A grammar: members, seeded
+        # random words and one word that is never a member.
+        for n in (2, 4, 8):
+            g = to_cnf(small_ln_grammar(n))
+            rng = random.Random(n)
+            words = set(itertools.islice(iter_ln(n), 12))
+            words |= {"".join(rng.choice("ab") for _ in range(2 * n)) for _ in range(12)}
+            words.add("b" * (2 * n))
+            batched = BatchedRecognizer(g).recognise_many(sorted(words))
+            for word in words:
+                expected = is_in_ln(word, n)
+                assert (CNFChart(g, word, COUNTING).value() > 0) is expected, word
+                assert recognise_cnf(g, word) is expected, word
+                assert batched[word] is expected, word
 
     def test_prefix_reuse_keeps_cells(self):
         g = to_cnf(balanced_grammar())

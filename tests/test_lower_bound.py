@@ -21,7 +21,9 @@ from repro.core.lower_bound import (
     ucfg_cnf_size_lower_bound,
     ucfg_size_lower_bound,
 )
-from repro.errors import CertificateError
+from repro.cli import main
+from repro.engine import Engine
+from repro.errors import CertificateError, JobFailedError, ReproError
 from tests.legacy_lower_bound import legacy_min_ell_against_cube_bound
 
 #: The frozen bisection, memoised: the certificate oracle asks it for the
@@ -183,6 +185,54 @@ class TestCertificate:
         assert cert.ucfg_bound == ucfg_size_lower_bound(64)
 
 
+NOT_INTS = pytest.mark.parametrize("bad", [True, 16.0, "16"], ids=["bool", "float", "str"])
+
+
+class TestCertificateInput:
+    @NOT_INTS
+    def test_certificate_requires_an_int(self, bad):
+        # With certificate(1) and certificate(16) cached, neither may
+        # answer for a value that hashes equal to its n.
+        certificate(1)
+        certificate(16)
+        with pytest.raises(ReproError, match="n must be an int"):
+            certificate(bad)
+
+    @NOT_INTS
+    @pytest.mark.parametrize("job", ["certificate", "sizes.row"])
+    def test_jobs_require_an_int(self, job, bad):
+        with pytest.raises(JobFailedError) as info:
+            Engine(cache=None).run_one(job, {"n": bad})
+        cause = info.value.__cause__
+        assert isinstance(cause, ReproError) and "n must be an int" in str(cause)
+
+    def test_sizes_row_at_n1(self):
+        row = Engine(cache=None).run_one("sizes.row", {"n": 1})
+        assert row["n"] == 1 and row["cfg_per_log2"] == "-"
+
+    def test_each_certificate_is_verified_once(self, monkeypatch):
+        verified = []
+        verify = LowerBoundCertificate.verify
+
+        def counting_verify(cert):
+            verified.append(cert.n)
+            verify(cert)
+
+        monkeypatch.setattr(LowerBoundCertificate, "verify", counting_verify)
+        # An empty cache, so the certificate is built inside this test.
+        monkeypatch.setattr(
+            lower_bound,
+            "_certificate",
+            functools.lru_cache(maxsize=256)(lower_bound._certificate.__wrapped__),
+        )
+        n = 4099
+        certificate(n)
+        certificate(n)
+        Engine(cache=None).run_one("certificate", {"n": n})
+        assert main(["certificate", str(n)]) == 0
+        assert verified == [n]
+
+
 class TestCrossValidationWithEnumeration:
     def test_fixed_partition_bound_sound_for_m1(self):
         # For m = 1 the exact maximum rectangle discrepancy is 8 = 2^{3m}
@@ -207,12 +257,12 @@ class TestCrossValidationWithEnumeration:
 
 def _oracle_certificate_keys(ns, monkeypatch) -> dict[int, tuple]:
     """Per ``n``: the certificate key and the three bounds, computed by the
-    unchanged assembly around the frozen bisection."""
+    certificate's assembly (uncached) around the frozen bisection."""
     out = {}
     with monkeypatch.context() as patch:
         patch.setattr(lower_bound, "_min_ell_against_cube_bound", frozen_min_ell)
         for n in ns:
-            cert = certificate.__wrapped__(n)
+            cert = lower_bound._certificate.__wrapped__(n)
             out[n] = (cert.to_key(), cert.cover_bound, cert.ucfg_cnf_bound, cert.ucfg_bound)
     return out
 

@@ -246,47 +246,6 @@ class TestCoverBudgetExceeded:
 
 
 class TestBenchAndEngine:
-    def test_bench_row_cross_checks_and_reports_speedups(self):
-        from repro.comm.bench import bench_comm_row
-
-        row = bench_comm_row(2, node_budget=100_000)
-        assert row["matrix_side"] == 4
-        ops = row["ops"]
-        assert ops["rank_q"]["legacy"]["value"] == ops["rank_q"]["packed"]["value"] == 3
-        assert ops["min_cover"]["packed"]["value"] == 3
-        for op in ops.values():
-            assert op.get("skipped") or op["agree"]
-
-    def test_bench_summary_frontiers(self):
-        from repro.comm.bench import bench_comm_row, summarise_rows
-
-        rows = [bench_comm_row(p, node_budget=100_000) for p in (2, 3)]
-        summary = summarise_rows(rows, budget_s=60.0)
-        rank = summary["ops"]["rank_q"]
-        assert rank["largest_common_p"] == 3
-        assert rank["largest_p_within_budget"] == {"legacy": 3, "packed": 3}
-
-    def test_disc_row_cross_checks_the_swar_sweep(self):
-        from repro.comm.bench import bench_disc_row
-
-        row = bench_disc_row(1)
-        assert row["matrix_side"] == 4
-        assert row["legacy"]["value"] == row["packed"]["value"] == row["max_disc"]
-        with pytest.raises(ValueError):
-            bench_disc_row(3)
-
-    def test_comm_bench_job_runs_through_engine(self):
-        from repro.engine import Engine
-
-        engine = Engine(cache=None)
-        result = engine.run_one(
-            "comm.bench",
-            {"max_p": 2, "max_m": 1, "node_budget": 50_000, "budget_s": 60.0},
-        )
-        assert [row["p"] for row in result["rows"]] == [2]
-        assert [row["m"] for row in result["disc_rows"]] == [1]
-        assert "rank_q" in result["summary"]["ops"]
-
     def test_discrepancy_job_fans_out_per_partition(self):
         from repro.engine import Engine
 
@@ -305,19 +264,6 @@ class TestBenchAndEngine:
 
         out = verify_discrepancy_caps(1, engine=Engine(cache=None))
         assert all(row["lemma23_margin"] >= 0 for row in out["partitions"])
-
-    def test_cli_bench_comm_smoke(self, capsys, tmp_path):
-        from repro.cli import main
-
-        out_path = tmp_path / "BENCH_comm.json"
-        assert main(["bench", "comm", "--max-p", "2", "--out", str(out_path)]) == 0
-        printed = capsys.readouterr().out
-        assert "packed bitmasks" in printed
-        import json
-
-        artifact = json.loads(out_path.read_text())
-        assert artifact["kind"] == "comm_bench"
-        assert artifact["rows"][0]["p"] == 2
 
 
 class TestPackedEntrypointsStillExact:

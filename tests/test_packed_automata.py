@@ -464,51 +464,6 @@ class TestUnaryAndWideAlphabets:
 
 
 class TestBenchAndEngine:
-    def test_bench_row_cross_checks_and_reports_speedups(self):
-        from repro.automata.bench import bench_automata_row
-
-        row = bench_automata_row(3)
-        ops = row["ops"]
-        for name in ("determinise", "minimise", "ambiguity"):
-            op = ops[name]
-            assert op["agree"]
-            assert "seconds" in op["legacy"] and "seconds" in op["packed"]
-        assert ops["ambiguity"]["legacy"]["value"] is False  # exact L_3 NFA
-
-    def test_bench_count_row_matches_closed_form(self):
-        from repro.automata.bench import bench_count_row
-
-        row = bench_count_row(10, n=8)
-        assert row["count"] == 2**10 - 8
-        assert row["agree"] and "seconds" in row["legacy"]
-
-    def test_bench_summary_frontiers(self):
-        from repro.automata.bench import (
-            bench_automata_row,
-            bench_count_row,
-            summarise_automata_rows,
-        )
-
-        rows = [bench_automata_row(n) for n in (2, 3)]
-        count_rows = [bench_count_row(10)]
-        summary = summarise_automata_rows(rows, count_rows, budget_s=60.0)
-        det = summary["ops"]["determinise"]
-        assert det["largest_common_n"] == 3
-        assert det["largest_n_within_budget"] == {"legacy": 3, "packed": 3}
-        assert summary["ops"]["counting"]["largest_common_exp"] == 10
-
-    def test_automata_bench_job_runs_through_engine(self):
-        from repro.engine import Engine
-
-        engine = Engine(cache=None)
-        result = engine.run_one(
-            "automata.bench",
-            {"max_n": 2, "max_count_exp": 10, "budget_s": 60.0},
-        )
-        assert [row["n"] for row in result["rows"]] == [1, 2]
-        assert [row["exp"] for row in result["count_rows"]] == [10]
-        assert "determinise" in result["summary"]["ops"]
-
     def test_automata_jobs(self):
         from repro.engine import Engine
         from repro.languages.ln import count_ln
@@ -526,33 +481,6 @@ class TestBenchAndEngine:
         assert int(count["match_count_checksum"], 16) == expected % (1 << 64)
         assert count["unique_count"] == 2  # slender closed form: length - n
 
-    def test_cli_bench_automata_smoke(self, capsys, tmp_path):
-        import json
-
-        from repro.cli import main
-
-        out_path = tmp_path / "BENCH_automata.json"
-        assert (
-            main(
-                [
-                    "bench",
-                    "automata",
-                    "--max-n",
-                    "2",
-                    "--max-count-exp",
-                    "10",
-                    "--out",
-                    str(out_path),
-                ]
-            )
-            == 0
-        )
-        printed = capsys.readouterr().out
-        assert "packed bit-parallel kernels" in printed
-        artifact = json.loads(out_path.read_text())
-        assert artifact["kind"] == "automata_bench"
-        assert artifact["rows"][0]["n"] == 1
-
 
 class TestUniqueMatchDfa:
     def test_membership_and_slender_counts(self):
@@ -567,6 +495,11 @@ class TestUniqueMatchDfa:
             assert not dfa.accepts("aa" * 2) or n == 1
             for length in range(n + 4):
                 assert count_dfa_words_of_length(dfa, length) == max(0, length - n)
+        # Length 2^10 > 4·|Q| takes the repeated-squaring path; the frozen
+        # sweep still agrees with the closed form there.
+        dfa = ln_unique_match_dfa(8)
+        assert count_dfa_words_of_length(dfa, 2**10) == 2**10 - 8
+        assert legacy_count_dfa_words_of_length(dfa, 2**10) == 2**10 - 8
 
     def test_unique_match_is_within_the_match_language(self):
         from repro.languages.dfa_ln import ln_unique_match_dfa
