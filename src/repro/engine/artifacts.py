@@ -19,7 +19,7 @@ Record schema (``kind: "job"``)::
       "outcome": "ok" | "error" | "timeout" | "skipped",
       "error": "…",                 # present only when outcome != ok
       "wall_ms": 12.3,              # execution time (0.0 for cache hits)
-      "result_bytes": 418,          # size of the JSON-encoded result
+      "result_bytes": 418,          # length of the result's canonical JSON
       "started_at": 1754…,          # epoch seconds the execution *started*
       "pid": 1234,                  # recording process id
       "attempt": 1,                 # 1-based execution attempt of this job
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import json
 import uuid
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -74,11 +74,25 @@ class RunRecord:
     backend: str | None = None
 
     def to_json(self) -> dict[str, Any]:
-        record = {"kind": "job", **asdict(self)}
-        if record["error"] is None:
-            del record["error"]
-        if record["backend"] is None:
-            del record["backend"]
+        record = {
+            "kind": "job",
+            "run_id": self.run_id,
+            "job": self.job,
+            "params": self.params,
+            "key": self.key,
+            "cache": self.cache,
+            "outcome": self.outcome,
+            "wall_ms": self.wall_ms,
+            "result_bytes": self.result_bytes,
+            "started_at": self.started_at,
+            "pid": self.pid,
+            "attempt": self.attempt,
+            "retries": self.retries,
+        }
+        if self.error is not None:
+            record["error"] = self.error
+        if self.backend is not None:
+            record["backend"] = self.backend
         return record
 
 
@@ -94,9 +108,12 @@ class RunLog:
     run_id: str = field(default_factory=lambda: uuid.uuid4().hex[:12])
     records: list[RunRecord] = field(default_factory=list)
 
-    def record(self, record: RunRecord) -> None:
+    def record(self, record: RunRecord) -> dict[str, Any]:
+        """Keep ``record`` and append it to the file; returns its JSON payload."""
         self.records.append(record)
-        self._append(record.to_json())
+        payload = record.to_json()
+        self._append(payload)
+        return payload
 
     def summarize(self, wall_ms: float, workers: int) -> dict[str, Any]:
         """Append and return the ``run_summary`` record for this run."""
@@ -124,11 +141,3 @@ class RunLog:
         line = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(line + "\n")
-
-    @staticmethod
-    def result_bytes(result: Any) -> int:
-        """The JSON-encoded size of a result (the ``result_bytes`` field)."""
-        try:
-            return len(json.dumps(result, sort_keys=True, separators=(",", ":")))
-        except (TypeError, ValueError):
-            return -1

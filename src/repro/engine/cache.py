@@ -11,10 +11,13 @@ Layout (one directory per job, one JSON file per key)::
 
 Every entry is self-describing: alongside the result it records the job
 name, the parameters and the code fingerprint that produced it, so a
-cache directory can be audited with nothing but ``jq``.  Writes are
-atomic (``os.replace`` of a same-directory temp file), which makes the
-cache safe under concurrent writers — the losing writer simply overwrites
-with identical bytes.
+cache directory can be audited with nothing but ``jq``.  An entry file
+is canonical JSON (sorted keys, no whitespace) with the result written
+as the text :func:`encode_result` gives, which the engine makes once per
+job and also counts for a run record's ``result_bytes``.  Writes are atomic
+(``os.replace`` of a same-directory temp file), which makes the cache
+safe under concurrent writers — the losing writer simply overwrites with
+identical bytes.
 
 The default location is ``$REPRO_CACHE_DIR`` if set, else
 ``~/.cache/repro``; every CLI entry point accepts ``--cache-dir``.
@@ -24,18 +27,47 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 import threading
 from collections.abc import Mapping
 from pathlib import Path
 from typing import Any
 
-__all__ = ["DiskCache", "default_cache_dir", "CACHE_FORMAT"]
+__all__ = ["DiskCache", "default_cache_dir", "encode_result", "CACHE_FORMAT"]
 
 #: Bumped when the on-disk entry format changes; old entries are ignored.
 CACHE_FORMAT = "v1"
 
-_MISSING = object()
+_SEPARATORS = (",", ":")
+
+#: An object key that an int, float, bool or ``None`` dict key encodes to.
+#: ``sort_keys`` orders such keys by value (``2`` before ``10``), but they
+#: decode as strings, which sort as text (``"10"`` before ``"2"``).  Inside
+#: a string a ``"`` is always escaped, so this only ever matches a key.
+_NON_STR_KEY = re.compile(r'[{,]"(?:-?[0-9][-+.0-9eE]*|true|false|null|NaN|-?Infinity)":')
+
+
+def encode_result(result: Any) -> str:
+    """The canonical JSON text of a job result: sorted keys, no whitespace.
+
+    The text is its own re-encoding: decoding it and encoding the value
+    again with the same settings gives the same text, so a result reads
+    the same whether it was just computed, read from the cache, or
+    decoded in another process.  Raises TypeError or ValueError when
+    ``result`` is not JSON data.
+
+    >>> encode_result({"b": (1, 2.5), "a": None})
+    '{"a":null,"b":[1,2.5]}'
+    >>> encode_result({10: "x", 2: "y"})
+    '{"10":"x","2":"y"}'
+    """
+    text = json.dumps(result, sort_keys=True, separators=_SEPARATORS)
+    if _NON_STR_KEY.search(text):
+        # A key that is a string in JSON but was not one in Python (or a
+        # string key that looks like a number): sort as the text decodes.
+        text = json.dumps(json.loads(text), sort_keys=True, separators=_SEPARATORS)
+    return text
 
 
 def default_cache_dir() -> Path:
@@ -53,7 +85,8 @@ class DiskCache:
     >>> cache = DiskCache(tempfile.mkdtemp())
     >>> cache.get("certificate", "0" * 64) is None
     True
-    >>> cache.put("certificate", "0" * 64, {"n": 16}, "fp", {"margin": 16640})
+    >>> result = {"margin": 16640}
+    >>> cache.put("certificate", "0" * 64, {"n": 16}, "fp", result, encode_result(result))
     >>> cache.get("certificate", "0" * 64)["result"]["margin"]
     16640
     """
@@ -107,17 +140,20 @@ class DiskCache:
         params: Mapping[str, Any],
         fingerprint: str,
         result: Any,
+        encoded: str,
     ) -> None:
         """Atomically persist ``result`` under ``key``.
 
-        ``result`` must be JSON-serializable — the engine enforces that
-        every job returns plain data, which is also what makes parallel
-        and serial runs byte-identical.  Storage failures (read-only or
-        full disk) are swallowed: a cache that cannot write degrades to
-        recomputation, it must never fail the computation itself.
+        ``encoded`` is ``encode_result(result)``, which the engine makes
+        once per job; the file embeds that text as is, so this layer
+        never encodes a result itself (``result`` is for layers that
+        keep the value, such as :class:`~repro.serve.hot.HotLRU`).
+        Storage failures (read-only or full disk) are swallowed: a cache
+        that cannot write degrades to recomputation, it must never fail
+        the computation itself.
         """
         try:
-            self._put(job_name, key, params, fingerprint, result)
+            self._put(job_name, key, params, fingerprint, encoded)
         except OSError:
             pass
 
@@ -127,19 +163,26 @@ class DiskCache:
         key: str,
         params: Mapping[str, Any],
         fingerprint: str,
-        result: Any,
+        encoded: str,
     ) -> None:
         path = self._path(job_name, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "format": CACHE_FORMAT,
-            "job": job_name,
-            "params": dict(params),
-            "fingerprint": fingerprint,
-            "result": result,
-        }
-        payload = json.dumps(entry, sort_keys=True, separators=(",", ":"))
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        head = json.dumps(
+            {
+                "fingerprint": fingerprint,
+                "format": CACHE_FORMAT,
+                "job": job_name,
+                "params": dict(params),
+            },
+            sort_keys=True,
+            separators=_SEPARATORS,
+        )
+        # "result" sorts after every other key, so it closes the object.
+        payload = f'{head[:-1]},"result":{encoded}}}'
+        try:  # a job's directory is made by the first write that misses it
+            fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(payload)
@@ -211,7 +254,7 @@ class NullCache(DiskCache):
         self._count(hit=False)
         return None
 
-    def put(self, job_name, key, params, fingerprint, result) -> None:
+    def put(self, job_name, key, params, fingerprint, result, encoded) -> None:
         return None
 
     def stats(self, count_only: bool = False) -> dict[str, Any]:

@@ -19,6 +19,7 @@ import time
 from typing import Any
 
 from repro.engine.registry import JobRegistry, Request
+from repro.errors import require_int
 from repro.util.tables import format_int
 
 __all__ = ["REGISTRY", "default_registry"]
@@ -29,6 +30,19 @@ REGISTRY = JobRegistry()
 def default_registry() -> JobRegistry:
     """The registry holding every built-in paper job."""
     return REGISTRY
+
+
+def _require_ints(params: dict[str, Any], *names: str) -> None:
+    """Refuse a bool, float or str for each named integer parameter.
+
+    Every job below calls this first (a job with dependencies, in its
+    ``deps`` function, which the engine runs before anything else), so a
+    malformed request fails with a :class:`~repro.errors.ReproError`
+    naming the parameter instead of computing under the label ``true``
+    or crashing deep inside the job.
+    """
+    for name in names:
+        require_int(name, params[name])
 
 
 #: The semiring chart-parsing kernel.  Every job whose computation routes
@@ -68,26 +82,35 @@ _SIZE_MODULES = (
     description="One row of the Theorem 1 size table for L_n",
 )
 def sizes_row(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
+    """The CFG, NFA and uCFG sizes of Theorem 1 for one ``n``.
+
+    The NFA column is the closed form ``n + 2``
+    (:func:`~repro.languages.nfa_ln.ln_match_nfa_states`); the automaton
+    itself is never built, which at ``n = 2^20`` would take seconds and
+    about 1.5 GB.
+    """
     from repro.core.lower_bound import certificate
-    from repro.languages.nfa_ln import ln_match_nfa
+    from repro.languages.nfa_ln import ln_match_nfa_states
     from repro.languages.small_grammar import small_ln_grammar
     from repro.languages.unambiguous_grammar import example4_size
 
+    _require_ints(params, "n")
     n = params["n"]
-    cert = certificate(n)  # first: it rejects an ``n`` that is not an int
+    cert = certificate(n)
     cfg_size = small_ln_grammar(n).size
     return {
         "n": n,
         "cfg_size": cfg_size,
         # log2(1) = 0: the ratio has no value at n = 1.
         "cfg_per_log2": f"{cfg_size / math.log2(n):.1f}" if n > 1 else "-",
-        "nfa_states": ln_match_nfa(n).n_states,
+        "nfa_states": ln_match_nfa_states(n),
         "ucfg_constr": format_int(example4_size(n)),
         "ucfg_bound": format_int(cert.ucfg_bound),
     }
 
 
 def _sizes_table_deps(params: dict[str, Any]) -> list[Request]:
+    _require_ints(params, "max_exp")
     return [
         Request.make("sizes.row", {"n": 2**exponent})
         for exponent in range(2, params["max_exp"] + 1)
@@ -120,6 +143,7 @@ def sizes_table(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
 def certificate_job(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
     from repro.core.lower_bound import certificate
 
+    _require_ints(params, "n")
     # certificate() verifies every certificate it builds before caching it.
     return certificate(params["n"]).to_dict()
 
@@ -133,6 +157,7 @@ def certificate_job(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
 def grammar_job(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
     from repro.languages.small_grammar import small_ln_grammar
 
+    _require_ints(params, "n")
     grammar = small_ln_grammar(params["n"])
     return {
         "n": params["n"],
@@ -164,6 +189,7 @@ def cover_job(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
     from repro.core.cover import balanced_rectangle_cover
     from repro.languages.unambiguous_grammar import example4_ucfg
 
+    _require_ints(params, "n")
     n = params["n"]
     if n > 4:
         raise ValueError("cover: n > 4 is infeasible (the uCFG explodes); use n <= 4")
@@ -202,6 +228,7 @@ def cover_job(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
 def lemma18_job(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
     from repro.core.discrepancy import verify_lemma18
 
+    _require_ints(params, "m")
     m = params["m"]
     if m > 5:
         raise ValueError("lemma18: m > 5 enumerates over 16^m members; use m <= 5")
@@ -232,6 +259,7 @@ def discrepancy_partition_job(params: dict[str, Any], deps: list[Any]) -> dict[s
     from repro.core.discrepancy import max_discrepancy_over_partition
     from repro.core.setview import OrderedPartition
 
+    _require_ints(params, "m", "lo", "hi")
     m, lo, hi = params["m"], params["lo"], params["hi"]
     partition = OrderedPartition(n=4 * m, lo=lo, hi=hi, interval_part=0)
     value, exact = max_discrepancy_over_partition(partition, m)
@@ -241,6 +269,7 @@ def discrepancy_partition_job(params: dict[str, Any], deps: list[Any]) -> dict[s
 def _discrepancy_deps(params: dict[str, Any]) -> list[Request]:
     from repro.core.partitions import iter_neat_balanced_partitions
 
+    _require_ints(params, "m")
     m = params["m"]
     if m > 2:
         raise ValueError("discrepancy: exact maximisation is feasible only for m <= 2")
@@ -297,6 +326,7 @@ def rank_job(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
         verify_disjoint_cover,
     )
 
+    _require_ints(params, "p")
     p = params["p"]
     matrix = intersection_matrix(p)
     greedy = greedy_disjoint_cover(matrix)
@@ -332,6 +362,7 @@ def rank_job(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
 def comm_cover_solve(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
     from repro.comm.cover import solve_cover
 
+    _require_ints(params, "node_budget")
     # ``matrix`` is either a named family ("intersection:P") or a 0/1
     # entry grid — the engine canonicalises list params to nested tuples,
     # which matrix_from_spec accepts directly.
@@ -359,6 +390,7 @@ def example3_job(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
         example3_size,
     )
 
+    _require_ints(params, "k")
     k = params["k"]
     grammar = example3_grammar(k)
     if grammar.size != example3_size(k):
@@ -397,6 +429,7 @@ def zoo_row(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
     from repro.languages.nfa_ln import ln_match_nfa, ln_nfa_exact
     from repro.languages.small_grammar import small_ln_grammar
 
+    _require_ints(params, "n")
     n = params["n"]
     if n > 5:
         raise ValueError("zoo.row: the disambiguated uCFG is infeasible for n > 5")
@@ -414,6 +447,7 @@ def zoo_row(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
 
 
 def _zoo_table_deps(params: dict[str, Any]) -> list[Request]:
+    _require_ints(params, "max_n")
     top = min(max(params["max_n"], 2), 5)
     return [Request.make("zoo.row", {"n": n}) for n in range(2, top + 1)]
 
@@ -455,6 +489,7 @@ def automata_determinise(params: dict[str, Any], deps: list[Any]) -> dict[str, A
     from repro.automata.packed import PackedNFA, packed_determinise, packed_minimise
     from repro.languages.nfa_ln import ln_match_nfa
 
+    _require_ints(params, "n")
     n = params["n"]
     nfa = ln_match_nfa(n)
     dfa = packed_determinise(PackedNFA.from_nfa(nfa))
@@ -478,6 +513,7 @@ def automata_ambiguity(params: dict[str, Any], deps: list[Any]) -> dict[str, Any
     from repro.automata.ops import is_unambiguous_nfa
     from repro.languages.nfa_ln import ln_match_nfa, ln_nfa_exact
 
+    _require_ints(params, "n")
     n, exact = params["n"], params["exact"]
     nfa = ln_nfa_exact(n) if exact else ln_match_nfa(n)
     return {
@@ -498,6 +534,7 @@ def automata_count(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
     from repro.automata.counting import count_dfa_words_of_length
     from repro.languages.dfa_ln import ln_match_minimal_dfa, ln_unique_match_dfa
 
+    _require_ints(params, "n", "length")
     n, length = params["n"], params["length"]
     match_count = count_dfa_words_of_length(ln_match_minimal_dfa(n), length)
     unique_count = count_dfa_words_of_length(ln_unique_match_dfa(n), length)
@@ -536,6 +573,7 @@ def automata_count(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
 def backends_bench(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
     from repro.backend.bench import bench_backends
 
+    _require_ints(params, "repeats", "seed")
     return bench_backends(repeats=params["repeats"], seed=params["seed"])
 
 
@@ -553,6 +591,7 @@ def backends_bench(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
 def member_job(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
     from repro.languages.ln import is_in_ln, match_positions
 
+    _require_ints(params, "n")
     word, n = params["word"], params["n"]
     member = is_in_ln(word, n)
     return {
@@ -619,6 +658,7 @@ def extract_stream(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
 
     from repro.extract.spec import StreamSpec
 
+    _require_ints(params, "lo", "hi", "chunk_chars")
     spec = StreamSpec.from_params(_stream_params(params))
     lo, hi = spec.resolve_range(params["lo"], params["hi"])
     digest = hashlib.sha256()
@@ -660,6 +700,7 @@ def extract_scan(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
     from repro.extract.scan import StreamScanner, scan_stream
     from repro.extract.spec import StreamSpec
 
+    _require_ints(params, "lo", "hi", "chunk_chars")
     spec = StreamSpec.from_params(_stream_params(params))
     start = process_time()
     scanner = StreamScanner(scanner_for_spec(spec), collect_ids=params["collect_ids"])
@@ -695,6 +736,7 @@ def extract_verify(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
     from repro.extract.scan import batched_oracle_scan, scan_stream, semantic_scan
     from repro.extract.spec import StreamSpec
 
+    _require_ints(params, "lo", "hi", "chunk_chars")
     spec = StreamSpec.from_params(_stream_params(params))
     lo, hi = params["lo"], params["hi"]
     scanned = scan_stream(
@@ -725,6 +767,7 @@ def extract_verify(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
 def _extract_aggregate_deps(params: dict[str, Any]) -> list[Request]:
     from repro.extract.spec import StreamSpec
 
+    _require_ints(params, "shards", "chunk_chars", "verify_docs")
     spec = StreamSpec.from_params(_stream_params(params))
     stream = _stream_params(params)
     requests = []

@@ -15,11 +15,14 @@ cache; hits are served in the parent without touching the pool.  Every
 executed or cache-served job appends a structured record to the run log
 (see :mod:`repro.engine.artifacts`).
 
-Determinism: job results are normalised through a JSON round-trip before
-they are stored, returned, or handed to dependents — a result therefore
-looks exactly the same whether it was computed serially, computed in a
-worker, or read back from the cache, which is what makes serial and
-parallel sweeps byte-identical.
+Determinism: each job result gets exactly one canonical encoding
+(:func:`~repro.engine.cache.encode_result`: sorted keys, no whitespace),
+made where the job ran.  The recording process decodes that text once
+for the value it stores, returns and hands to dependents; the cache
+entry embeds the same text, and the run record's ``result_bytes`` is its
+length.  A result therefore looks exactly the same whether it was
+computed serially, computed in a worker, or read back from the cache,
+which is what makes serial and parallel sweeps byte-identical.
 
 Failure semantics
 -----------------
@@ -82,7 +85,7 @@ from repro.backend import (
     use_backend,
 )
 from repro.engine.artifacts import RunLog, RunRecord
-from repro.engine.cache import DiskCache
+from repro.engine.cache import DiskCache, encode_result
 from repro.engine.jobs import default_registry
 from repro.engine.keys import canonical_params
 from repro.engine.registry import Job, JobRegistry, Request
@@ -162,39 +165,25 @@ def in_worker() -> bool:
     return _IN_WORKER
 
 
-def _normalize(result: Any) -> Any:
-    """Force ``result`` through a JSON round-trip (tuples → lists, sorted keys).
-
-    Raises TypeError eagerly when a job returns non-JSON data, so the
-    failure surfaces at the producing job, not at cache-write time.
-    """
-    return json.loads(json.dumps(result, sort_keys=True))
-
-
-#: First element of the ``(stamp, backend_name, result)`` triple
-#: :func:`_call_job` returns.  ``_normalize`` forces every job result
-#: through a JSON round-trip, so a genuine result can never be a tuple —
-#: the wrapper is unambiguous without touching the job protocol.
-_BACKEND_STAMP = "__repro_backend_stamp__"
-
-
 def _call_job(
     fn,
     params: dict[str, Any],
     deps: list[Any],
     attempt: int = 1,
     task_id: int | None = None,
-) -> tuple[str, str, Any]:
-    """Worker-side entry point: announce the pid, run the job, normalise.
+) -> tuple[str, str]:
+    """Worker-side entry point: announce the pid, run the job, encode.
 
     The ``(pid, task_id)`` event lets the parent terminate exactly the
     worker running an overdue job; the reserved ``_attempt`` parameter
     lets attempt-aware jobs observe which retry they are.
 
-    Returns ``(_BACKEND_STAMP, backend_name, result)``: the name of the
-    backend that *actually* computed the result travels back with it, so
-    the parent's run record stays truthful even when a worker's
-    initializer downgraded an unavailable pinned backend.
+    Returns ``(backend_name, encoded)``: the name of the backend that
+    *actually* computed the result travels back with it, so the parent's
+    run record stays truthful even when a worker's initializer downgraded
+    an unavailable pinned backend.  ``encoded`` is the result's canonical
+    JSON text; a job that returns data that is not JSON fails here, not
+    at cache-write time.
     """
     if task_id is not None and _TASK_EVENTS is not None:
         try:
@@ -203,23 +192,7 @@ def _call_job(
             pass  # pid attribution is best effort, never a job failure
     call_params = dict(params)
     call_params["_attempt"] = attempt
-    return _BACKEND_STAMP, get_backend().name, _normalize(fn(call_params, deps))
-
-
-def _unstamp(wrapped: Any) -> tuple[Any, str | None]:
-    """Split a :func:`_call_job` triple into ``(result, backend_name)``.
-
-    Tolerates a bare result (``backend_name = None``) so a pool worker
-    running an older ``_call_job`` — e.g. across an in-place upgrade —
-    degrades to the parent-side stamp rather than corrupting results.
-    """
-    if (
-        isinstance(wrapped, tuple)
-        and len(wrapped) == 3
-        and wrapped[0] == _BACKEND_STAMP
-    ):
-        return wrapped[2], wrapped[1]
-    return wrapped, None
+    return get_backend().name, encode_result(fn(call_params, deps))
 
 
 def _abort_pool(pool: ProcessPoolExecutor) -> None:
@@ -490,7 +463,7 @@ class Engine:
         cache_state: str,
         outcome: str,
         wall_ms: float,
-        result: Any = None,
+        result_bytes: int = 0,
         error: str | None = None,
         pid: int | None = None,
         started_epoch: float | None = None,
@@ -498,10 +471,10 @@ class Engine:
         log: RunLog | None = None,
         backend: str | None = None,
     ) -> None:
-        # ``backend`` is the worker-stamped name when the job ran in a
-        # pool (the worker may have downgraded an unavailable pin); the
+        # ``backend`` is the name the worker sent back when the job ran in
+        # a pool (the worker may have downgraded an unavailable pin); the
         # parent's active backend otherwise (cache hits, serial runs,
-        # errors raised before a stamp could travel back).
+        # errors raised before the worker could send a name back).
         log = log if log is not None else self.run_log
         log.record(
             RunRecord(
@@ -512,7 +485,7 @@ class Engine:
                 cache=cache_state,
                 outcome=outcome,
                 wall_ms=round(wall_ms, 3),
-                result_bytes=RunLog.result_bytes(result) if outcome == "ok" else 0,
+                result_bytes=result_bytes,
                 started_at=started_epoch if started_epoch is not None else time.time(),
                 pid=pid if pid is not None else os.getpid(),
                 attempt=attempt,
@@ -522,9 +495,13 @@ class Engine:
             )
         )
 
-    def _store(self, job: Job, request: Request, key: str, result: Any) -> None:
+    def _store(
+        self, job: Job, request: Request, key: str, result: Any, encoded: str
+    ) -> None:
         if self.cache is not None:
-            self.cache.put(job.name, key, request.params_dict(), job.fingerprint(), result)
+            self.cache.put(
+                job.name, key, request.params_dict(), job.fingerprint(), result, encoded
+            )
 
     def _backoff(self, attempt: int) -> float:
         """Seconds to wait before re-running a job that failed ``attempt``."""
@@ -543,7 +520,9 @@ class Engine:
             key, cached, hit = self._cache_lookup(job, request)
             if hit:
                 results[request] = cached
-                self._record(request, key, "hit", "ok", 0.0, cached, log=log)
+                self._record(
+                    request, key, "hit", "ok", 0.0, len(encode_result(cached)), log=log
+                )
                 continue
             deps = [results[dep] for dep in dep_lists[request]]
             attempt = 1
@@ -551,8 +530,8 @@ class Engine:
                 started = time.monotonic()
                 started_epoch = time.time()
                 try:
-                    result, ran_backend = _unstamp(
-                        _call_job(job.fn, request.params_dict(), deps, attempt)
+                    ran_backend, encoded = _call_job(
+                        job.fn, request.params_dict(), deps, attempt
                     )
                 except Exception as exc:
                     wall_ms = (time.monotonic() - started) * 1000.0
@@ -575,15 +554,16 @@ class Engine:
                         f"job {request.label()} failed: {exc}", attempts=attempt
                     ) from exc
                 wall_ms = (time.monotonic() - started) * 1000.0
+                result = json.loads(encoded)
                 results[request] = result
-                self._store(job, request, key, result)
+                self._store(job, request, key, result, encoded)
                 self._record(
                     request,
                     key,
                     self._miss_state(),
                     "ok",
                     wall_ms,
-                    result,
+                    len(encoded),
                     started_epoch=started_epoch,
                     attempt=attempt,
                     log=log,
@@ -708,7 +688,9 @@ class Engine:
                 keys[request] = key
                 if hit:
                     results[request] = cached
-                    self._record(request, key, "hit", "ok", 0.0, cached, log=log)
+                    self._record(
+                        request, key, "hit", "ok", 0.0, len(encode_result(cached)), log=log
+                    )
                     mark_done(request)
                     return
             key = keys[request]
@@ -738,7 +720,7 @@ class Engine:
             job = jobs_by_request[info.request]
             wall_ms = (time.monotonic() - info.started_monotonic) * 1000.0
             try:
-                result, ran_backend = _unstamp(future.result())
+                ran_backend, encoded = future.result()
             except BrokenProcessPool as exc:
                 self._record(
                     info.request,
@@ -794,15 +776,16 @@ class Engine:
                     )
                 )
             else:
+                result = json.loads(encoded)
                 results[info.request] = result
-                self._store(job, info.request, info.key, result)
+                self._store(job, info.request, info.key, result, encoded)
                 self._record(
                     info.request,
                     info.key,
                     self._miss_state(),
                     "ok",
                     wall_ms,
-                    result,
+                    len(encoded),
                     started_epoch=info.started_epoch,
                     attempt=info.attempt,
                     log=log,

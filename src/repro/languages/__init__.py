@@ -34,7 +34,12 @@ from repro.languages.dfa_ln import (
     ln_minimal_dfa,
     ln_minimal_dfa_states,
 )
-from repro.languages.nfa_ln import exact_ln_fooling_set, ln_match_nfa, ln_nfa_exact
+from repro.languages.nfa_ln import (
+    exact_ln_fooling_set,
+    ln_match_nfa,
+    ln_match_nfa_states,
+    ln_nfa_exact,
+)
 from repro.languages.small_grammar import small_ln_grammar
 from repro.languages.unambiguous_grammar import (
     example4_size,
@@ -64,6 +69,7 @@ __all__ = [
     "iter_nomatch_pairs",
     # automata
     "ln_match_nfa",
+    "ln_match_nfa_states",
     "ln_nfa_exact",
     "exact_ln_fooling_set",
     "ln_minimal_dfa",

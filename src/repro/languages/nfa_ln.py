@@ -27,7 +27,7 @@ from functools import lru_cache
 from repro.automata.nfa import NFA
 from repro.words.alphabet import AB
 
-__all__ = ["ln_match_nfa", "ln_nfa_exact", "exact_ln_fooling_set"]
+__all__ = ["ln_match_nfa", "ln_match_nfa_states", "ln_nfa_exact", "exact_ln_fooling_set"]
 
 
 @lru_cache(maxsize=256)
@@ -38,7 +38,9 @@ def ln_match_nfa(n: int) -> NFA:
     length) with two ``a`` symbols at distance exactly ``n``; on inputs of
     length ``2n`` this is exactly membership in ``L_n``.  Memoized:
     :class:`~repro.automata.nfa.NFA` instances are immutable, so repeated
-    calls return the same object.
+    calls return the same object.  A caller that needs only the state
+    count uses the closed form :func:`ln_match_nfa_states` instead, which
+    builds nothing.
 
     >>> nfa = ln_match_nfa(2)
     >>> nfa.accepts("abab"), nfa.accepts("bbbb")
@@ -63,6 +65,21 @@ def ln_match_nfa(n: int) -> NFA:
         transitions[(counters[i], "b")] = {counters[i + 1]}
     transitions[(counters[-1], "a")] = {final}
     return NFA(AB, states, transitions, {start}, {final})
+
+
+def ln_match_nfa_states(n: int) -> int:
+    """The state count of :func:`ln_match_nfa`, ``n + 2``, without building it.
+
+    One start state, ``n`` distance counters and one accepting state.  The
+    Theorem 1 size table (``sizes.row``) reports this; at ``n = 2^20``
+    building the automaton itself takes seconds and about 1.5 GB.
+
+    >>> ln_match_nfa_states(2) == ln_match_nfa(2).n_states
+    True
+    """
+    if n < 1:
+        raise ValueError(f"ln_match_nfa is defined for n >= 1, got {n}")
+    return n + 2
 
 
 @lru_cache(maxsize=64)

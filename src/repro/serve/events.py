@@ -38,9 +38,10 @@ class EventLog(RunLog):
 
     # -- producer side (engine / broker threads) ------------------------
 
-    def record(self, record: RunRecord) -> None:
-        super().record(record)
-        self._publish(record.to_json())
+    def record(self, record: RunRecord) -> dict[str, Any]:
+        payload = super().record(record)
+        self._publish(payload)
+        return payload
 
     def summarize(self, wall_ms: float, workers: int) -> dict[str, Any]:
         summary = super().summarize(wall_ms, workers)

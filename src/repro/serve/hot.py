@@ -6,7 +6,8 @@ cache while every lookup is answered from memory when possible:
 
 * ``get`` — hot hit (no disk I/O) → disk hit (promoted into memory) →
   miss;
-* ``put`` — stores in memory and writes through to the disk layer;
+* ``put`` — stores the value in memory and writes its canonical
+  encoding through to the disk layer;
 * eviction — least-recently-used beyond ``max_entries``.
 
 All methods are thread-safe: the serve broker shares one instance across
@@ -31,11 +32,11 @@ class HotLRU:
     """A bounded, thread-safe LRU of cache entries over an optional disk layer.
 
     >>> hot = HotLRU(None, max_entries=2)
-    >>> hot.put("j", "k1", {"n": 1}, "fp", 11)
+    >>> hot.put("j", "k1", {"n": 1}, "fp", 11, "11")
     >>> hot.get("j", "k1")["result"]
     11
-    >>> hot.put("j", "k2", {"n": 2}, "fp", 22)
-    >>> hot.put("j", "k3", {"n": 3}, "fp", 33)  # evicts k1
+    >>> hot.put("j", "k2", {"n": 2}, "fp", 22, "22")
+    >>> hot.put("j", "k3", {"n": 3}, "fp", 33, "33")  # evicts k1
     >>> hot.get("j", "k1") is None
     True
     """
@@ -98,6 +99,7 @@ class HotLRU:
         params: Mapping[str, Any],
         fingerprint: str,
         result: Any,
+        encoded: str,
     ) -> None:
         entry = {
             "job": job_name,
@@ -108,7 +110,7 @@ class HotLRU:
         with self._lock:
             self._admit((job_name, key), entry)
         if self._inner is not None:
-            self._inner.put(job_name, key, params, fingerprint, result)
+            self._inner.put(job_name, key, params, fingerprint, result, encoded)
 
     def _admit(self, ck: tuple[str, str], entry: dict[str, Any]) -> None:
         """Insert/refresh under the lock, evicting the LRU tail."""

@@ -7,7 +7,9 @@ depend on dict/set iteration order or on ``id()``-derived ``repr`` output.
 This module provides a tiny total encoding for the value shapes the
 library actually uses:
 
-* JSON scalars (``None``, ``bool``, ``int``, ``float``, ``str``);
+* JSON scalars (``None``, ``bool``, ``int``, ``float``, ``str``); an int
+  of more than ``DECIMAL_MAX_BITS`` bits is written in hex under its own
+  tag, so no int ever meets Python's int-to-str digit limit;
 * tuples and lists (encoded positionally);
 * dicts (encoded sorted by encoded key);
 * sets and frozensets (encoded as sorted multiset of encodings);
@@ -22,6 +24,8 @@ length- and type-tagged, so ``("a", "b")`` and ``("a,b",)`` differ.
 'd2:s1:a=t2:i2,i3;s1:b=i1;'
 >>> canonical_encode({"a": (2, 3), "b": 1}) == canonical_encode({"b": 1, "a": (2, 3)})
 True
+>>> canonical_encode(-(1 << 3000))[:6]
+'h-1000'
 """
 
 from __future__ import annotations
@@ -29,7 +33,14 @@ from __future__ import annotations
 import hashlib
 from typing import Any
 
-__all__ = ["canonical_encode", "canonical_digest"]
+__all__ = ["canonical_encode", "canonical_digest", "DECIMAL_MAX_BITS"]
+
+#: Ints up to this many bits are written ``i<decimal>``; longer ones
+#: ``h<hex>``.  ``2**2048`` has 617 decimal digits, below the 640-digit
+#: floor of ``sys.set_int_max_str_digits``, so the decimal branch works
+#: under every digit limit a process can set, and the encoding of an int
+#: never depends on that setting.
+DECIMAL_MAX_BITS = 2048
 
 
 def canonical_encode(value: Any) -> str:
@@ -39,6 +50,8 @@ def canonical_encode(value: Any) -> str:
     if isinstance(value, bool):
         return "T" if value else "F"
     if isinstance(value, int):
+        if value.bit_length() > DECIMAL_MAX_BITS:
+            return f"h{value:x}"
         return f"i{value}"
     if isinstance(value, float):
         return f"f{value!r}"

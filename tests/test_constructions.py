@@ -18,7 +18,12 @@ from repro.languages.example6 import (
     lstar_words,
 )
 from repro.languages.ln import is_in_ln, ln_words
-from repro.languages.nfa_ln import exact_ln_fooling_set, ln_match_nfa, ln_nfa_exact
+from repro.languages.nfa_ln import (
+    exact_ln_fooling_set,
+    ln_match_nfa,
+    ln_match_nfa_states,
+    ln_nfa_exact,
+)
 from repro.languages.small_grammar import small_ln_grammar
 from repro.languages.unambiguous_grammar import (
     example4_size,
@@ -142,6 +147,20 @@ class TestLnNFA:
         nfa = ln_match_nfa(50)
         assert nfa.n_states == 52
         assert nfa.n_transitions == 2 * 50 + 4
+
+    def test_match_nfa_states_closed_form(self):
+        # __wrapped__ builds without filling the memo with thousands of NFAs.
+        for n in [*range(1, 401), *range(1, 4001, 37)]:
+            nfa = ln_match_nfa.__wrapped__(n)
+            assert ln_match_nfa_states(n) == nfa.n_states == n + 2
+            assert nfa.n_transitions == 2 * n + 4
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_match_nfa_states_refuses_like_the_constructor(self, n):
+        with pytest.raises(ValueError, match="n >= 1"):
+            ln_match_nfa(n)
+        with pytest.raises(ValueError, match="n >= 1"):
+            ln_match_nfa_states(n)
 
     def test_match_nfa_accepts_off_length(self):
         # The promise automaton accepts matching words of other lengths.

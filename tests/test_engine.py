@@ -22,8 +22,15 @@ from repro.engine import (
     code_fingerprint,
     default_registry,
 )
-from repro.errors import EngineError, JobFailedError, JobTimeoutError, UnknownJobError
-from repro.util.canonical import canonical_digest, canonical_encode
+from repro.engine.artifacts import RunRecord
+from repro.errors import (
+    EngineError,
+    JobFailedError,
+    JobTimeoutError,
+    ReproError,
+    UnknownJobError,
+)
+from repro.util.canonical import DECIMAL_MAX_BITS, canonical_digest, canonical_encode
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -55,6 +62,49 @@ class TestCanonicalEncoding:
 
     def test_digest_shape(self):
         assert len(canonical_digest({"n": 16})) == 64
+
+    def test_small_ints_keep_their_decimal_encoding(self):
+        # Cache keys are digests of this encoding: pinning it pins them.
+        assert canonical_encode((0, -7, 2**64)) == "t3:i0,i-7,i18446744073709551616"
+        assert canonical_encode({"n": 16}) == "d1:s1:n=i16;"
+        top = 2**DECIMAL_MAX_BITS - 1
+        assert canonical_encode(top) == f"i{top}"
+        assert canonical_encode(-top) == f"i{-top}"
+
+    def test_huge_ints_are_hex(self):
+        assert canonical_encode(2**DECIMAL_MAX_BITS) == "h1" + "0" * (DECIMAL_MAX_BITS // 4)
+        assert canonical_encode(-(2**DECIMAL_MAX_BITS)) == "h-1" + "0" * (DECIMAL_MAX_BITS // 4)
+
+    def test_injective_across_the_hex_threshold(self):
+        edge = 2**DECIMAL_MAX_BITS
+        values = {
+            sign * (base + delta)
+            for sign in (1, -1)
+            for base in (edge >> 1, edge, edge << 1)
+            for delta in (-1, 0, 1)
+        }
+        encodings = {canonical_encode(value) for value in values}
+        assert len(encodings) == len(values)
+        # A tag never collides with a composite's separators.
+        assert canonical_encode((edge, 1)) != canonical_encode((edge + 1,))
+
+    def test_encoding_ignores_the_digit_limit(self):
+        values = [2**DECIMAL_MAX_BITS - 1, 2**DECIMAL_MAX_BITS, 10**5000, -(10**5000)]
+        default = [canonical_encode(v) for v in values]
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(640)  # the lowest limit Python allows
+            assert [canonical_encode(v) for v in values] == default
+        finally:
+            sys.set_int_max_str_digits(saved)
+
+    @pytest.mark.parametrize("n", [14_400, 20_000])
+    def test_certificate_to_key_past_the_digit_limit(self, n):
+        from repro.core.lower_bound import certificate
+
+        key = certificate(n).to_key()
+        assert key == certificate(n).to_key()
+        assert key != certificate(n + 4).to_key()
 
 
 class TestKeyStability:
@@ -127,7 +177,7 @@ class TestDiskCache:
         cache = DiskCache(tmp_path)
         key = "0" * 64
         assert cache.get("certificate", key) is None
-        cache.put("certificate", key, {"n": 16}, "fp", {"margin": 16640})
+        cache.put("certificate", key, {"n": 16}, "fp", {"margin": 16640}, '{"margin":16640}')
         entry = cache.get("certificate", key)
         assert entry["result"] == {"margin": 16640}
         assert entry["params"] == {"n": 16}
@@ -136,15 +186,15 @@ class TestDiskCache:
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = DiskCache(tmp_path)
         key = "1" * 64
-        cache.put("job", key, {}, "fp", 1)
+        cache.put("job", key, {}, "fp", 1, "1")
         path = next((tmp_path / "v1" / "job").glob("*.json"))
         path.write_text("{not json")
         assert cache.get("job", key) is None
 
     def test_stats_and_clear(self, tmp_path):
         cache = DiskCache(tmp_path)
-        cache.put("a", "0" * 64, {}, "fp", 1)
-        cache.put("b", "1" * 64, {}, "fp", 2)
+        cache.put("a", "0" * 64, {}, "fp", 1, "1")
+        cache.put("b", "1" * 64, {}, "fp", 2, "2")
         stats = cache.stats()
         assert stats["entries"] == 2
         assert set(stats["jobs"]) == {"a", "b"}
@@ -153,8 +203,8 @@ class TestDiskCache:
 
     def test_stats_count_only_skips_size_walk(self, tmp_path):
         cache = DiskCache(tmp_path)
-        cache.put("a", "0" * 64, {}, "fp", 1)
-        cache.put("b", "1" * 64, {}, "fp", 2)
+        cache.put("a", "0" * 64, {}, "fp", 1, "1")
+        cache.put("b", "1" * 64, {}, "fp", 2, "2")
         full = cache.stats()
         cheap = cache.stats(count_only=True)
         assert cheap["entries"] == full["entries"] == 2
@@ -195,7 +245,7 @@ class TestDiskCache:
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
         cache = DiskCache(blocker / "cache")
-        cache.put("job", "0" * 64, {}, "fp", 1)  # must not raise
+        cache.put("job", "0" * 64, {}, "fp", 1, "1")  # must not raise
         assert cache.get("job", "0" * 64) is None
         log = RunLog(path=None)
         engine = Engine(cache=cache, run_log=log)
@@ -401,6 +451,36 @@ class TestRunArtifacts:
             == summary["jobs"]
         )
 
+    @pytest.mark.parametrize(
+        "error, backend", [(None, None), ("boom", None), (None, "words"), ("boom", "words")]
+    )
+    def test_record_json_matches_asdict(self, error, backend):
+        from dataclasses import asdict
+
+        record = RunRecord(
+            run_id="r1",
+            job="certificate",
+            params={"n": 16, "columns": (1, 3)},
+            key="k" * 64,
+            cache="miss",
+            outcome="ok" if error is None else "error",
+            wall_ms=1.5,
+            result_bytes=418,
+            started_at=1754.25,
+            pid=42,
+            attempt=2,
+            retries=3,
+            error=error,
+            backend=backend,
+        )
+        expected = {"kind": "job", **asdict(record)}
+        for optional in ("error", "backend"):
+            if expected[optional] is None:
+                del expected[optional]
+        payload = record.to_json()
+        assert payload == expected
+        assert list(payload) == list(expected)
+
     def test_cache_hit_recorded(self, tmp_path):
         cache_dir = tmp_path / "cache"
         Engine(cache=DiskCache(cache_dir)).run_one("certificate", {"n": 16})
@@ -409,6 +489,100 @@ class TestRunArtifacts:
         engine.run_one("certificate", {"n": 16})
         record = json.loads((tmp_path / "runs.jsonl").read_text().splitlines()[0])
         assert record["cache"] == "hit" and record["wall_ms"] == 0.0
+
+
+def _odd_result(params, deps):
+    """A result in every shape the JSON round-trip rewrites."""
+    return {
+        "huge": 3**900,
+        "negative": -(2**200),
+        "text": "Ünïcødé ∑ 𝓛 \u0000 \"quoted\"",
+        "floats": [0.1, -0.0, 1e300, 2.5e-8, float("nan")],
+        "pair": (1, ("a", 2.0)),
+        "by_int": {10: "ten", 2: "two", -1: "minus one", 0: "zero"},
+        "by_float": {1.5: "x", 10.25: "y"},
+        "by_flag": {True: 1, False: 0},
+        "by_number_text": {"10": 1, "9": 2},
+        "nested": [{3: [1, 2]}, {"b": {}, "a": []}],
+        "seed": params["seed"],
+    }
+
+
+_ODD_REGISTRY = JobRegistry()
+_ODD_REGISTRY.job("odd", params=("seed",))(_odd_result)
+
+
+class TestResultEncoding:
+    """Each result is encoded once; files and ``result_bytes`` keep their bytes."""
+
+    @staticmethod
+    def _legacy_file(job, params, fingerprint, raw):
+        # Reference: round-trip the result through JSON, then encode the
+        # whole entry at once.
+        result = json.loads(json.dumps(raw, sort_keys=True))
+        entry = {
+            "format": "v1",
+            "job": job,
+            "params": params,
+            "fingerprint": fingerprint,
+            "result": result,
+        }
+        return (
+            json.dumps(entry, sort_keys=True, separators=(",", ":")),
+            len(json.dumps(result, sort_keys=True, separators=(",", ":"))),
+        )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_entry_files_and_result_bytes(self, tmp_path, jobs):
+        log = RunLog(path=None)
+        engine = Engine(
+            registry=_ODD_REGISTRY, cache=DiskCache(tmp_path), jobs=jobs, run_log=log
+        )
+        results = engine.run([Request.make("odd", {"seed": s}) for s in (1, 2)])
+        files = sorted((tmp_path / "v1" / "odd").glob("*.json"))
+        assert len(files) == 2 and len(log.records) == 2
+        records = {record.params["seed"]: record for record in log.records}
+        for path in files:
+            text = path.read_text(encoding="utf-8")
+            entry = json.loads(text)
+            seed = entry["params"]["seed"]
+            raw = _odd_result({"seed": seed}, [])
+            legacy_text, legacy_bytes = self._legacy_file(
+                "odd", {"seed": seed}, entry["fingerprint"], raw
+            )
+            assert text == legacy_text
+            assert text == json.dumps(entry, sort_keys=True, separators=(",", ":"))
+            assert records[seed].result_bytes == legacy_bytes
+            returned = results[Request.make("odd", {"seed": seed})]
+            assert json.dumps(returned, sort_keys=True) == json.dumps(
+                entry["result"], sort_keys=True
+            )
+
+    def test_hit_reports_the_miss_size(self, tmp_path):
+        sizes = []
+        for _ in range(2):
+            log = RunLog(path=None)
+            Engine(registry=_ODD_REGISTRY, cache=DiskCache(tmp_path), run_log=log).run_one(
+                "odd", {"seed": 3}
+            )
+            sizes.append((log.records[0].cache, log.records[0].result_bytes))
+        assert sizes[0][0] == "miss" and sizes[1][0] == "hit"
+        assert sizes[0][1] == sizes[1][1] > 0
+
+    def test_job_directory_is_recreated(self, tmp_path):
+        import shutil
+
+        cache = DiskCache(tmp_path)
+        cache.put("job", "0" * 64, {}, "fp", 1, "1")
+        shutil.rmtree(tmp_path / "v1")
+        cache.put("job", "1" * 64, {}, "fp", 2, "2")
+        assert cache.get("job", "1" * 64)["result"] == 2
+
+    def test_non_json_result_fails_at_the_job(self):
+        registry = JobRegistry()
+        registry.job("bad", params=())(lambda params, deps: {"x": object()})
+        with pytest.raises(JobFailedError, match="not JSON serializable"):
+            Engine(registry=registry, cache=None).run_one("bad")
 
 
 class TestBuiltinJobs:
@@ -445,6 +619,60 @@ class TestBuiltinJobs:
     def test_rank_job(self):
         result = Engine(cache=None).run_one("rank", {"p": 3})
         assert result["rank_q"] == 2**3 - 1
+
+    def test_sizes_row_builds_no_nfa(self):
+        from repro.languages.nfa_ln import ln_match_nfa
+
+        before = ln_match_nfa.cache_info()
+        row = Engine(cache=None).run_one("sizes.row", {"n": 1237})
+        assert row["nfa_states"] == 1239
+        assert ln_match_nfa.cache_info() == before
+
+
+_SCAN = {"c": 2, "w": 1, "columns": [1, 2], "n_docs": 4}
+#: Every non-debug job: parameters it needs beyond its integer ones, and
+#: its integer parameters (each valid as 1 unless given here).
+_INT_PARAMS = {
+    "sizes.row": ({}, ("n",)),
+    "sizes.table": ({}, ("max_exp",)),
+    "certificate": ({}, ("n",)),
+    "grammar": ({}, ("n",)),
+    "cover": ({}, ("n",)),
+    "lemma18": ({}, ("m",)),
+    "discrepancy.partition": ({"m": 1, "lo": 0, "hi": 1}, ("m", "lo", "hi")),
+    "discrepancy": ({}, ("m",)),
+    "rank": ({}, ("p",)),
+    "comm.cover.solve": ({"matrix": "intersection:2"}, ("node_budget",)),
+    "example3": ({}, ("k",)),
+    "zoo.row": ({}, ("n",)),
+    "zoo.table": ({}, ("max_n",)),
+    "automata.determinise": ({}, ("n",)),
+    "automata.ambiguity": ({}, ("n",)),
+    "automata.count": ({"n": 2, "length": 4}, ("n", "length")),
+    "backends.bench": ({}, ("repeats", "seed")),
+    "member": ({"word": "abab"}, ("n",)),
+    "extract.stream": (_SCAN, ("c", "w", "n_docs", "seed", "lo", "hi", "chunk_chars")),
+    "extract.scan": (_SCAN, ("c", "w", "n_docs", "seed", "lo", "hi", "chunk_chars")),
+    "extract.verify": (_SCAN, ("c", "w", "n_docs", "seed", "lo", "hi", "chunk_chars")),
+    "extract.aggregate": (_SCAN, ("c", "w", "shards", "chunk_chars", "verify_docs")),
+}
+
+
+class TestIntegerParams:
+    def test_table_covers_every_job(self):
+        names = {n for n in default_registry().names() if not n.startswith("debug.")}
+        assert names == set(_INT_PARAMS)
+
+    @pytest.mark.parametrize("bad", [True, 4.0, "4"], ids=["bool", "float", "str"])
+    @pytest.mark.parametrize(
+        "job, name",
+        [(job, name) for job, (_, names) in _INT_PARAMS.items() for name in names],
+    )
+    def test_non_int_is_refused_by_name(self, job, name, bad):
+        base, names = _INT_PARAMS[job]
+        params = {**dict.fromkeys(names, 1), **base, name: bad}
+        with pytest.raises(ReproError, match=f"{name} must be an int"):
+            Engine(cache=None).run_one(job, params)
 
 
 class TestMemoizedConstructors:

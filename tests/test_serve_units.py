@@ -94,7 +94,7 @@ class TestHotLRU:
     def test_memory_hit_without_disk(self):
         hot = HotLRU(None, max_entries=4)
         assert hot.get("job", "k") is None
-        hot.put("job", "k", {"v": 1}, "f", 1)
+        hot.put("job", "k", {"v": 1}, "f", 1, "1")
         entry = hot.get("job", "k")
         assert entry["result"] == 1
         stats = hot.stats()
@@ -102,10 +102,10 @@ class TestHotLRU:
 
     def test_eviction_is_lru_order(self):
         hot = HotLRU(None, max_entries=2)
-        hot.put("job", "a", {}, "f", "A")
-        hot.put("job", "b", {}, "f", "B")
+        hot.put("job", "a", {}, "f", "A", '"A"')
+        hot.put("job", "b", {}, "f", "B", '"B"')
         assert hot.get("job", "a")["result"] == "A"  # touch a: b is now LRU
-        hot.put("job", "c", {}, "f", "C")  # evicts b
+        hot.put("job", "c", {}, "f", "C", '"C"')  # evicts b
         assert hot.get("job", "b") is None
         assert hot.get("job", "a")["result"] == "A"
         assert hot.stats()["evictions"] == 1
@@ -114,7 +114,7 @@ class TestHotLRU:
         with tempfile.TemporaryDirectory() as root:
             disk = DiskCache(root)
             hot = HotLRU(disk, max_entries=4)
-            disk.put("job", "k", {"v": 1}, "f", "on-disk")
+            disk.put("job", "k", {"v": 1}, "f", "on-disk", '"on-disk"')
             assert hot.peek("job", "k") is None  # peek never touches disk
             assert hot.get("job", "k")["result"] == "on-disk"  # get promotes
             assert hot.peek("job", "k")["result"] == "on-disk"
@@ -123,8 +123,8 @@ class TestHotLRU:
         with tempfile.TemporaryDirectory() as root:
             disk = DiskCache(root)
             hot = HotLRU(disk, max_entries=1)
-            hot.put("job", "a", {"v": 1}, "f", "A")
-            hot.put("job", "b", {"v": 2}, "f", "B")  # evicts a from memory
+            hot.put("job", "a", {"v": 1}, "f", "A", '"A"')
+            hot.put("job", "b", {"v": 2}, "f", "B", '"B"')  # evicts a from memory
             assert hot.peek("job", "a") is None
             assert hot.get("job", "a")["result"] == "A"  # still on disk
             stats = hot.stats()
@@ -134,7 +134,7 @@ class TestHotLRU:
     def test_stats_count_only_skips_bytes(self):
         with tempfile.TemporaryDirectory() as root:
             hot = HotLRU(DiskCache(root), max_entries=4)
-            hot.put("job", "a", {}, "f", "A")
+            hot.put("job", "a", {}, "f", "A", '"A"')
             full = hot.stats()
             cheap = hot.stats(count_only=True)
             assert full["disk"]["bytes"] is not None
