@@ -35,7 +35,7 @@ instead of fake speedups.
 Selection order (first match wins):
 
 1. a :func:`use_backend` context (per-call override, contextvar-scoped —
-   safe under the threaded ``repro.serve`` executor);
+   safe under ``repro.serve``, which runs jobs on connection threads);
 2. a process-wide :func:`set_backend`;
 3. the ``REPRO_BACKEND`` environment variable;
 4. the default, ``auto`` — resolves to ``cext`` when the compiled

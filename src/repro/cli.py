@@ -433,8 +433,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ReproServer, ServeConfig
 
     if args.backend is not None:
-        # The service executes engine runs on threads; pin the whole
-        # process rather than one run scope.
+        # The service executes engine runs on connection threads; pin the
+        # whole process rather than one run scope.
         from repro.backend import set_backend
 
         set_backend(args.backend)
@@ -584,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_backends.set_defaults(func=_cmd_bench_backends)
 
     serve = sub.add_parser(
-        "serve", help="run the async multi-tenant job service (see docs/SERVE.md)"
+        "serve", help="run the multi-tenant job service (see docs/SERVE.md)"
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
@@ -615,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--exec-workers",
         type=int,
         default=8,
-        help="threads driving engine runs (default 8)",
+        help="engine runs at once; more cold requests wait (default 8)",
     )
     serve.add_argument(
         "--run-log", default=None, metavar="PATH", help="append run records here (JSONL)"

@@ -46,12 +46,15 @@ cache to miss).  ``retried`` counts executions with ``attempt > 1``.
 from __future__ import annotations
 
 import json
+import os
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 __all__ = ["RunRecord", "RunLog"]
+
+_APPEND_FLAGS = os.O_WRONLY | os.O_APPEND | os.O_CREAT | getattr(os, "O_CLOEXEC", 0)
 
 
 @dataclass(slots=True)
@@ -135,9 +138,23 @@ class RunLog:
         return summary
 
     def _append(self, payload: dict[str, Any]) -> None:
+        """Append ``payload`` as one line, in one ``write`` to an append-mode file.
+
+        Every log of a process may share one file (the service's
+        ``--run-log``); an ``O_APPEND`` write lands whole at the end, so
+        records from concurrent runs never interleave within a line.
+        """
         if self.path is None:
             return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+        line = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        try:
+            fd = os.open(self.path, _APPEND_FLAGS, 0o666)
+        except FileNotFoundError:  # the first record of a new log makes its directory
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(self.path, _APPEND_FLAGS, 0o666)
+        try:
+            data = memoryview(line.encode("utf-8"))
+            while data:
+                data = data[os.write(fd, data) :]
+        finally:
+            os.close(fd)

@@ -70,6 +70,22 @@ def encode_result(result: Any) -> str:
     return text
 
 
+def _entry_head(job_name: Any, params: Any, fingerprint: Any) -> str:
+    """An entry file's text up to its result: the other fields, then ``"result":``."""
+    head = json.dumps(
+        {
+            "fingerprint": fingerprint,
+            "format": CACHE_FORMAT,
+            "job": job_name,
+            "params": params,
+        },
+        sort_keys=True,
+        separators=_SEPARATORS,
+    )
+    # "result" sorts after every other key, so the result closes the object.
+    return f'{head[:-1]},"result":'
+
+
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR`` or ``~/.cache/repro``."""
     override = os.environ.get("REPRO_CACHE_DIR")
@@ -95,7 +111,7 @@ class DiskCache:
         self._root = Path(directory) if directory is not None else default_cache_dir()
         self.hits = 0
         self.misses = 0
-        # The serve broker shares one cache across executor threads; the
+        # The serve broker shares one cache across connection threads; the
         # counters are read-modify-write, so they take a lock.
         self._counter_lock = threading.Lock()
 
@@ -118,18 +134,27 @@ class DiskCache:
     def get(self, job_name: str, key: str) -> dict[str, Any] | None:
         """Return the stored entry (with its metadata) or ``None``.
 
-        Unreadable or corrupt entries count as misses and are ignored.
+        The entry also carries ``result_bytes``, the length of the
+        result's stored text, which is the ``result_bytes`` of the miss
+        that stored it.  Unreadable or corrupt entries count as misses
+        and are ignored.
         """
         path = self._path(job_name, key)
         try:
             with open(path, encoding="utf-8") as handle:
-                entry = json.load(handle)
+                text = handle.read()
+            entry = json.loads(text)
         except (OSError, json.JSONDecodeError):
             self._count(hit=False)
             return None
         if not isinstance(entry, dict) or "result" not in entry:
             self._count(hit=False)
             return None
+        head = _entry_head(entry.get("job"), entry.get("params"), entry.get("fingerprint"))
+        if text.startswith(head) and text.endswith("}"):
+            entry["result_bytes"] = len(text) - len(head) - 1
+        else:  # a head that does not re-encode as stored (int-keyed params, a hand edit)
+            entry["result_bytes"] = len(encode_result(entry["result"]))
         self._count(hit=True)
         return entry
 
@@ -166,26 +191,19 @@ class DiskCache:
         encoded: str,
     ) -> None:
         path = self._path(job_name, key)
-        head = json.dumps(
-            {
-                "fingerprint": fingerprint,
-                "format": CACHE_FORMAT,
-                "job": job_name,
-                "params": dict(params),
-            },
-            sort_keys=True,
-            separators=_SEPARATORS,
-        )
-        # "result" sorts after every other key, so it closes the object.
-        payload = f'{head[:-1]},"result":{encoded}}}'
+        payload = f"{_entry_head(job_name, dict(params), fingerprint)}{encoded}}}"
         try:  # a job's directory is made by the first write that misses it
             fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         except FileNotFoundError:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
+            try:
+                data = memoryview(payload.encode("utf-8"))
+                while data:
+                    data = data[os.write(fd, data) :]
+            finally:
+                os.close(fd)
             os.replace(tmp_name, path)
         except BaseException:
             try:

@@ -143,14 +143,14 @@ def _init_worker(
 def _reset_inherited_signals() -> None:
     """Restore default signal handling in a freshly forked worker.
 
-    A parent running an asyncio loop (the job service) installs
-    Python-level SIGTERM/SIGINT handlers plus a wakeup fd; a forked
-    worker inherits both.  Left in place, ``process.terminate()`` no
-    longer kills the worker (the inherited handler swallows SIGTERM) and
-    — worse — the handler writes the signal byte into the wakeup pipe
-    *shared with the parent*, which the parent's loop reads as "I was
-    signalled" and begins shutting itself down.  Workers must die on
-    SIGTERM and never touch the parent's pipe.
+    A parent serving jobs (``repro serve`` on the main thread) installs
+    Python-level SIGTERM/SIGINT handlers, and a parent may have set a
+    wakeup fd; a forked worker inherits both.  Left in place,
+    ``process.terminate()`` no longer kills the worker (the inherited
+    handler swallows SIGTERM) and — worse — the handler acts on state
+    *shared with the parent*: the server's listening socket, or the
+    wakeup pipe a parent event loop reads as "I was signalled".  Workers
+    must die on SIGTERM and never touch the parent's resources.
     """
     try:
         signal.set_wakeup_fd(-1)
@@ -447,14 +447,13 @@ class Engine:
     # Execution
     # ------------------------------------------------------------------
 
-    def _cache_lookup(self, job: Job, request: Request) -> tuple[str, Any | None, bool]:
+    def _cache_lookup(self, job: Job, request: Request) -> tuple[str, dict[str, Any] | None]:
+        """``(key, entry)``; the entry (``None`` on a miss) carries ``result``
+        and ``result_bytes``, the length of the text the cache stored."""
         key = job.key(request.params_dict())
         if self.cache is None:
-            return key, None, False
-        entry = self.cache.get(job.name, key)
-        if entry is None:
-            return key, None, False
-        return key, entry["result"], True
+            return key, None
+        return key, self.cache.get(job.name, key)
 
     def _record(
         self,
@@ -517,12 +516,10 @@ class Engine:
     ) -> None:
         for request in order:
             job = jobs_by_request[request]
-            key, cached, hit = self._cache_lookup(job, request)
-            if hit:
-                results[request] = cached
-                self._record(
-                    request, key, "hit", "ok", 0.0, len(encode_result(cached)), log=log
-                )
+            key, entry = self._cache_lookup(job, request)
+            if entry is not None:
+                results[request] = entry["result"]
+                self._record(request, key, "hit", "ok", 0.0, entry["result_bytes"], log=log)
                 continue
             deps = [results[dep] for dep in dep_lists[request]]
             attempt = 1
@@ -684,12 +681,12 @@ class Engine:
         def submit(request: Request, attempt: int) -> None:
             job = jobs_by_request[request]
             if attempt == 1 and request not in keys:
-                key, cached, hit = self._cache_lookup(job, request)
+                key, entry = self._cache_lookup(job, request)
                 keys[request] = key
-                if hit:
-                    results[request] = cached
+                if entry is not None:
+                    results[request] = entry["result"]
                     self._record(
-                        request, key, "hit", "ok", 0.0, len(encode_result(cached)), log=log
+                        request, key, "hit", "ok", 0.0, entry["result_bytes"], log=log
                     )
                     mark_done(request)
                     return

@@ -1,11 +1,12 @@
-"""repro.serve — the async, multi-tenant job service over the engine.
+"""repro.serve — the multi-tenant job service over the engine.
 
 The engine (registry + DAG scheduler + content-addressed cache) executes
 one request batch per process; this subsystem turns it into a
 long-running service surface:
 
-* an **asyncio HTTP/1.1 server** with JSON request/response bodies and
-  chunked-JSONL event streams (:mod:`repro.serve.server`) — stdlib only;
+* a **thread-per-connection HTTP/1.1 server** with JSON request/response
+  bodies and chunked-JSONL event streams (:mod:`repro.serve.server`) —
+  stdlib only; a cold job runs on the thread that read its request;
 * a **request broker** that validates against the registry, rate-limits
   per client, coalesces identical in-flight requests into one execution,
   and drives a shared thread-safe :class:`~repro.engine.Engine`

@@ -1,12 +1,13 @@
 """The request broker: validate → rate-limit → coalesce → admit → execute.
 
-The broker is the seam between the asyncio server and the synchronous
+The broker is the seam between the HTTP front end and the synchronous
 :class:`~repro.engine.Engine`.  One engine instance is shared by all
-clients; executions run on a bounded thread pool (each thread calls the
-engine's thread-safe entry point with its own per-run
-:class:`~repro.serve.events.EventLog`), while all bookkeeping — the
+clients.  :meth:`Broker.submit` runs on the thread that read the
+request: a leader calls the engine's thread-safe entry point there,
+with its own per-run :class:`~repro.serve.events.EventLog`, so a cold
+request makes no hand-off between threads.  The shared bookkeeping — the
 in-flight coalescing table, admission counting, counters, run history —
-happens on the event loop.
+is guarded by locks.
 
 The request pipeline, in order:
 
@@ -14,24 +15,22 @@ The request pipeline, in order:
 2. **validate** — job name against the registry (``404``), parameters
    against the job's declaration (``400``), *before* any work is queued;
 3. **hot fast path** — a memory-resident cache entry is served directly
-   on the event loop (no thread hop, no disk);
+   (no engine run, no disk);
 4. **coalesce** — an identical in-flight request is joined as a follower;
 5. **admit** — distinct executions beyond ``queue_limit`` are refused
-   with ``503`` + Retry-After (the pool's queue stays bounded);
-6. **execute** — leader runs ``engine.run_one`` in the pool; everyone
-   awaiting the shared future gets the one outcome.
+   with ``503`` + Retry-After;
+6. **execute** — the leader runs ``engine.run_one`` on its own thread,
+   once one of ``exec_workers`` execution slots is free; everyone
+   waiting on the shared future gets the one outcome.
 """
 
 from __future__ import annotations
 
-import asyncio
+import threading
 import time
 from collections import OrderedDict
-from functools import partial
 from pathlib import Path
 from typing import Any
-
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.engine import DiskCache, Engine, JobRegistry, default_registry
 from repro.errors import EngineError, JobTimeoutError, UnknownJobError
@@ -57,14 +56,8 @@ class ServeHTTPError(Exception):
 class Broker:
     """Shared execution pipeline behind the HTTP front end."""
 
-    def __init__(
-        self,
-        config: ServeConfig,
-        loop: asyncio.AbstractEventLoop,
-        registry: JobRegistry | None = None,
-    ) -> None:
+    def __init__(self, config: ServeConfig, registry: JobRegistry | None = None) -> None:
         self.config = config
-        self.loop = loop
         self.registry = registry if registry is not None else default_registry()
         disk = None if config.no_cache else DiskCache(config.cache_dir)
         self.hot: HotLRU | None = (
@@ -82,14 +75,16 @@ class Broker:
         )
         self.limiter = RateLimiter(config.rate, config.burst, config.max_clients)
         self.coalescer = Coalescer()
-        self.pool = ThreadPoolExecutor(
-            max_workers=config.exec_workers, thread_name_prefix="repro-serve"
-        )
+        #: At most ``exec_workers`` engine runs at once; further leaders wait.
+        self._slots = threading.BoundedSemaphore(config.exec_workers)
         self._run_log_path = (
             Path(config.run_log_path) if config.run_log_path is not None else None
         )
+        if self._run_log_path is not None:
+            self._run_log_path.parent.mkdir(parents=True, exist_ok=True)
+        #: Guards the counters, the run history, and the coalesce-or-admit step.
+        self._lock = threading.Lock()
         self._runs: OrderedDict[str, EventLog] = OrderedDict()
-        self._exec_tasks: set[asyncio.Task] = set()
         self.started_at = time.monotonic()
         self.counters: dict[str, int] = {
             "requests": 0,
@@ -103,22 +98,27 @@ class Broker:
             "bad_requests": 0,
         }
 
+    def _count(self, counter: str) -> None:
+        with self._lock:
+            self.counters[counter] += 1
+
     # ------------------------------------------------------------------
     # The request pipeline
     # ------------------------------------------------------------------
 
-    async def submit(
+    def submit(
         self, job_name: str, params: dict[str, Any], client_id: str
     ) -> dict[str, Any]:
         """Serve one job request; returns the JSON response payload.
 
-        Raises :class:`ServeHTTPError` for every refusal (429/503) and
-        failure (400/404/500/504).
+        Runs on the caller's thread, which executes the job itself when
+        it leads.  Raises :class:`ServeHTTPError` for every refusal
+        (429/503) and failure (400/404/500/504).
         """
-        self.counters["requests"] += 1
+        self._count("requests")
         granted, retry_after = self.limiter.check(client_id)
         if not granted:
-            self.counters["rejected_rate"] += 1
+            self._count("rejected_rate")
             raise ServeHTTPError(
                 429, f"rate limit exceeded for client {client_id!r}", retry_after
             )
@@ -126,77 +126,87 @@ class Broker:
             job = self.registry.get(job_name)
             resolved = job.resolve_params(params)
         except UnknownJobError as exc:
-            self.counters["bad_requests"] += 1
+            self._count("bad_requests")
             raise ServeHTTPError(404, str(exc)) from exc
         except EngineError as exc:
-            self.counters["bad_requests"] += 1
+            self._count("bad_requests")
             raise ServeHTTPError(400, str(exc)) from exc
         key = job.key(resolved)
 
-        if self.hot is not None:
-            entry = self.hot.peek(job_name, key)
-            if entry is not None:
+        entry = self.hot.peek(job_name, key) if self.hot is not None else None
+        if entry is not None:
+            self._count("hot_served")
+            return self._hot_payload(job_name, resolved, entry)
+
+        log: EventLog | None = None
+        with self._lock:
+            execution = self.coalescer.get(job_name, key)
+            if execution is not None:
+                self.counters["coalesced"] += 1
+            elif self.hot is not None and (
+                # A leader that finished since the peek above stored its
+                # result before it left the in-flight table.
+                (entry := self.hot.peek(job_name, key)) is not None
+            ):
                 self.counters["hot_served"] += 1
-                return {
-                    "job": job_name,
-                    "params": resolved,
-                    "result": entry["result"],
-                    "cache": "hot",
-                    "coalesced": False,
-                    "run_id": None,
-                    "wall_ms": 0.0,
-                }
+            elif len(self.coalescer) >= self.config.queue_limit:
+                self.counters["rejected_busy"] += 1
+                raise ServeHTTPError(
+                    503,
+                    f"server busy: {len(self.coalescer)} executions in flight "
+                    f"(queue_limit={self.config.queue_limit})",
+                    retry_after=1.0,
+                )
+            else:
+                log = EventLog(path=self._run_log_path)
+                self._remember_run(log)
+                execution = self.coalescer.begin(job_name, key, log.run_id)
+        if entry is not None:
+            return self._hot_payload(job_name, resolved, entry)
+        if log is None:
+            return {**execution.future.result(), "coalesced": True}
+        self._execute(execution, job_name, resolved, log)
+        return execution.future.result()
 
-        execution = self.coalescer.get(job_name, key)
-        if execution is not None:
-            self.counters["coalesced"] += 1
-            payload = await asyncio.shield(execution.future)
-            return {**payload, "coalesced": True}
+    @staticmethod
+    def _hot_payload(
+        job_name: str, resolved: dict[str, Any], entry: dict[str, Any]
+    ) -> dict[str, Any]:
+        return {
+            "job": job_name,
+            "params": resolved,
+            "result": entry["result"],
+            "cache": "hot",
+            "coalesced": False,
+            "run_id": None,
+            "wall_ms": 0.0,
+        }
 
-        if len(self.coalescer) >= self.config.queue_limit:
-            self.counters["rejected_busy"] += 1
-            raise ServeHTTPError(
-                503,
-                f"server busy: {len(self.coalescer)} executions in flight "
-                f"(queue_limit={self.config.queue_limit})",
-                retry_after=1.0,
-            )
-
-        log = EventLog(self.loop, path=self._run_log_path)
-        self._remember_run(log)
-        execution = self.coalescer.begin(job_name, key, log.run_id, self.loop)
-        task = self.loop.create_task(self._execute(execution, job_name, resolved, log))
-        self._exec_tasks.add(task)
-        task.add_done_callback(self._exec_tasks.discard)
-        return await asyncio.shield(execution.future)
-
-    async def _execute(
+    def _execute(
         self,
         execution: Execution,
         job_name: str,
         resolved: dict[str, Any],
         log: EventLog,
     ) -> None:
-        """Leader body: one engine run on the pool, one shared outcome."""
+        """Leader body: one engine run, one shared outcome."""
         try:
-            result = await self.loop.run_in_executor(
-                self.pool,
-                partial(self.engine.run_one, job_name, resolved, run_log=log),
-            )
+            with self._slots:
+                result = self.engine.run_one(job_name, resolved, run_log=log)
         except JobTimeoutError as exc:
-            self.counters["timeouts"] += 1
+            self._count("timeouts")
             log.finish_error(str(exc))
             self.coalescer.finish(
                 execution, error=ServeHTTPError(504, f"job timed out: {exc}")
             )
         except Exception as exc:  # JobFailedError and anything unforeseen
-            self.counters["errors"] += 1
+            self._count("errors")
             log.finish_error(str(exc))
             self.coalescer.finish(
                 execution, error=ServeHTTPError(500, f"job failed: {exc}")
             )
         else:
-            self.counters["executed"] += 1
+            self._count("executed")
             self.coalescer.finish(
                 execution,
                 result={
@@ -230,17 +240,22 @@ class Broker:
     # ------------------------------------------------------------------
 
     def _remember_run(self, log: EventLog) -> None:
+        """Keep ``log`` addressable for ``/events``; call under ``_lock``."""
         self._runs[log.run_id] = log
         while len(self._runs) > self.config.run_history:
             self._runs.popitem(last=False)
 
     def get_run(self, run_id: str) -> EventLog | None:
-        return self._runs.get(run_id)
+        with self._lock:
+            return self._runs.get(run_id)
 
     def stats(self) -> dict[str, Any]:
+        with self._lock:
+            counters = dict(self.counters)
+            tracked_runs = len(self._runs)
         return {
             "uptime_s": round(time.monotonic() - self.started_at, 3),
-            "counters": dict(self.counters),
+            "counters": counters,
             "inflight": self.coalescer.inflight(),
             "coalescer": {
                 "started": self.coalescer.started,
@@ -248,7 +263,7 @@ class Broker:
             },
             "hot": self.hot.stats(count_only=True) if self.hot is not None else None,
             "limits": self.limiter.stats(),
-            "tracked_runs": len(self._runs),
+            "tracked_runs": tracked_runs,
             "engine": {
                 "jobs": self.engine.jobs,
                 "timeout": self.engine.timeout,
@@ -256,22 +271,3 @@ class Broker:
                 "max_retries": self.engine.max_retries,
             },
         }
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    async def drain(self, grace_s: float) -> bool:
-        """Wait (up to ``grace_s``) for every in-flight execution to finish.
-
-        Returns True on a clean drain.  Executions still running at the
-        deadline are abandoned (their threads keep running until process
-        exit — the engine offers no preemption for in-process jobs).
-        """
-        tasks = [t for t in self._exec_tasks if not t.done()]
-        clean = True
-        if tasks:
-            done, pending = await asyncio.wait(tasks, timeout=grace_s)
-            clean = not pending
-        self.pool.shutdown(wait=clean, cancel_futures=True)
-        return clean

@@ -4,21 +4,21 @@ Two requests are *identical* when they agree on ``(job name, cache key)``
 — the same content-addressed key the disk cache uses, so parameter
 defaulting and ordering are already normalised away.  The first request
 for a key becomes the **leader** and actually executes; requests arriving
-while it runs become **followers** that await the same
-:class:`asyncio.Future` and receive the same outcome (result *or*
-exception).
+while it runs become **followers** that wait on the same
+:class:`concurrent.futures.Future` and receive the same outcome (result
+*or* exception).
 
-The table is only touched from the event loop, so it needs no lock.  The
-future is resolved via ``call_soon_threadsafe``-scheduled callbacks from
-the broker, and followers await it behind :func:`asyncio.shield` — a
-follower whose client disconnects cancels only its own wait, never the
-leader's execution.
+Every request runs on its own connection thread, so the table is
+guarded by a lock.  Only the leader resolves the future; a follower
+that stops waiting (its client went away) leaves it untouched, so the
+leader's execution and every other waiter are unaffected.
 """
 
 from __future__ import annotations
 
-import asyncio
+import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -32,7 +32,7 @@ class Execution:
     job: str
     key: str
     run_id: str
-    future: asyncio.Future
+    future: Future = field(default_factory=Future)
     started: float = field(default_factory=time.monotonic)
     followers: int = 0  #: requests that coalesced onto this execution
 
@@ -45,6 +45,7 @@ class Coalescer:
     """The ``(job, key) → Execution`` in-flight table."""
 
     def __init__(self) -> None:
+        self._lock = threading.Lock()
         self._inflight: dict[tuple[str, str], Execution] = {}
         self.started = 0
         self.coalesced = 0
@@ -54,19 +55,19 @@ class Coalescer:
 
     def get(self, job: str, key: str) -> Execution | None:
         """The running execution identical requests should join, if any."""
-        execution = self._inflight.get((job, key))
-        if execution is not None:
-            execution.followers += 1
-            self.coalesced += 1
-        return execution
+        with self._lock:
+            execution = self._inflight.get((job, key))
+            if execution is not None:
+                execution.followers += 1
+                self.coalesced += 1
+            return execution
 
-    def begin(
-        self, job: str, key: str, run_id: str, loop: asyncio.AbstractEventLoop
-    ) -> Execution:
+    def begin(self, job: str, key: str, run_id: str) -> Execution:
         """Install a new leader for ``(job, key)``; the caller executes it."""
-        execution = Execution(job=job, key=key, run_id=run_id, future=loop.create_future())
-        self._inflight[execution.coalesce_key] = execution
-        self.started += 1
+        execution = Execution(job=job, key=key, run_id=run_id)
+        with self._lock:
+            self._inflight[execution.coalesce_key] = execution
+            self.started += 1
         return execution
 
     def finish(
@@ -77,12 +78,11 @@ class Coalescer:
     ) -> None:
         """Resolve the shared future and retire the table entry.
 
-        Every waiter — leader handler and all followers — observes the
-        same outcome.  Must be called on the event loop.
+        Every waiter — the leader and all followers — observes the same
+        outcome.
         """
-        self._inflight.pop(execution.coalesce_key, None)
-        if execution.future.cancelled():
-            return
+        with self._lock:
+            self._inflight.pop(execution.coalesce_key, None)
         if error is not None:
             execution.future.set_exception(error)
         else:
@@ -91,6 +91,8 @@ class Coalescer:
     def inflight(self) -> list[dict[str, Any]]:
         """A JSON-friendly snapshot for ``/stats``."""
         now = time.monotonic()
+        with self._lock:
+            executions = list(self._inflight.values())
         return [
             {
                 "job": ex.job,
@@ -98,5 +100,5 @@ class Coalescer:
                 "followers": ex.followers,
                 "running_s": round(now - ex.started, 3),
             }
-            for ex in self._inflight.values()
+            for ex in executions
         ]

@@ -30,8 +30,9 @@ class ServeConfig:
     ``rate``/``burst`` configure the per-client token bucket (``rate=None``
     disables rate limiting); ``queue_limit`` bounds concurrently admitted
     *distinct* executions (coalesced followers ride for free);
-    ``exec_workers`` is the number of broker threads draining admitted
-    executions into the engine.
+    ``exec_workers`` is the most executions running at once — each runs
+    on the connection thread that read its request, and an admitted
+    leader beyond the bound waits for a free slot.
     """
 
     host: str = "127.0.0.1"

@@ -3,9 +3,9 @@
 :class:`EventLog` is a :class:`~repro.engine.artifacts.RunLog` that, in
 addition to the normal in-memory records and optional JSONL file, pushes
 every record (as its JSON payload) to any number of subscribers — the
-``GET /runs/<id>/events`` handlers.  Records are produced on broker
-executor threads while subscribers await on the event loop, so delivery
-hops through ``loop.call_soon_threadsafe``.
+``GET /runs/<id>/events`` handlers.  Records are produced on the leader's
+connection thread while each subscriber blocks on its own connection
+thread, so every subscriber gets a :class:`queue.SimpleQueue`.
 
 A stream is *terminal* once a ``run_summary`` payload (normal end) or a
 ``run_error`` payload (the engine raised) has been published; late
@@ -14,7 +14,7 @@ subscribers of a finished run get the full replay and no queue.
 
 from __future__ import annotations
 
-import asyncio
+import queue
 import threading
 import time
 from pathlib import Path
@@ -26,17 +26,16 @@ __all__ = ["EventLog"]
 
 
 class EventLog(RunLog):
-    """A run log that fans records out to asyncio subscriber queues."""
+    """A run log that fans records out to subscriber queues."""
 
-    def __init__(self, loop: asyncio.AbstractEventLoop, path: Path | None = None) -> None:
+    def __init__(self, path: Path | None = None) -> None:
         super().__init__(path=path)
-        self._loop = loop
         self._elock = threading.Lock()
-        self._subscribers: list[asyncio.Queue] = []
+        self._subscribers: list[queue.SimpleQueue] = []
         self.events: list[dict[str, Any]] = []
         self.done = False
 
-    # -- producer side (engine / broker threads) ------------------------
+    # -- producer side (the leader's thread) ----------------------------
 
     def record(self, record: RunRecord) -> dict[str, Any]:
         payload = super().record(record)
@@ -76,15 +75,12 @@ class EventLog(RunLog):
             if terminal:
                 self.done = True
             subscribers = list(self._subscribers)
-        for queue in subscribers:
-            try:
-                self._loop.call_soon_threadsafe(queue.put_nowait, payload)
-            except RuntimeError:
-                pass  # loop already closed during shutdown: drop the event
+        for subscriber in subscribers:
+            subscriber.put(payload)
 
-    # -- consumer side (event-loop handlers) ----------------------------
+    # -- consumer side (event-stream handlers) --------------------------
 
-    def subscribe(self) -> tuple[list[dict[str, Any]], asyncio.Queue | None]:
+    def subscribe(self) -> tuple[list[dict[str, Any]], queue.SimpleQueue | None]:
         """``(replay, live_queue)``; the queue is ``None`` for finished runs.
 
         The snapshot and the registration happen under one lock, so no
@@ -94,14 +90,14 @@ class EventLog(RunLog):
             snapshot = list(self.events)
             if self.done:
                 return snapshot, None
-            queue: asyncio.Queue = asyncio.Queue()
-            self._subscribers.append(queue)
-            return snapshot, queue
+            subscriber: queue.SimpleQueue = queue.SimpleQueue()
+            self._subscribers.append(subscriber)
+            return snapshot, subscriber
 
-    def unsubscribe(self, queue: asyncio.Queue) -> None:
+    def unsubscribe(self, subscriber: queue.SimpleQueue) -> None:
         with self._elock:
             try:
-                self._subscribers.remove(queue)
+                self._subscribers.remove(subscriber)
             except ValueError:
                 pass
 

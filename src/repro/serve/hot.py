@@ -5,13 +5,14 @@
 cache while every lookup is answered from memory when possible:
 
 * ``get`` — hot hit (no disk I/O) → disk hit (promoted into memory) →
-  miss;
+  miss; an entry carries ``result_bytes``, its result's stored length,
+  as the disk layer's entries do;
 * ``put`` — stores the value in memory and writes its canonical
   encoding through to the disk layer;
 * eviction — least-recently-used beyond ``max_entries``.
 
 All methods are thread-safe: the serve broker shares one instance across
-its executor threads.  The counters it keeps (``hot_hits``,
+its connection threads.  The counters it keeps (``hot_hits``,
 ``disk_hits``, ``misses``, ``evictions``) feed the server's ``/stats``
 endpoint, which is how "repeat hits never touch disk" stays observable.
 """
@@ -59,9 +60,9 @@ class HotLRU:
     def peek(self, job_name: str, key: str) -> dict[str, Any] | None:
         """Memory-only lookup: never touches the disk layer.
 
-        The broker's event-loop fast path uses this — blocking disk I/O
-        must not run on the loop, so a memory miss falls through to the
-        executor (where :meth:`get` may still find the entry on disk).
+        The broker's fast path uses this before coalescing: a memory miss
+        falls through to an engine run, where :meth:`get` may still find
+        the entry on disk (and the payload then says ``"cache": "hit"``).
         """
         ck = (job_name, key)
         with self._lock:
@@ -106,6 +107,7 @@ class HotLRU:
             "params": dict(params),
             "fingerprint": fingerprint,
             "result": result,
+            "result_bytes": len(encoded),
         }
         with self._lock:
             self._admit((job_name, key), entry)

@@ -69,8 +69,7 @@ class RateLimiter:
     """A bounded LRU of per-client :class:`TokenBucket`\\ s.
 
     ``rate=None`` disables limiting entirely (every check is granted).
-    Thread-safe; the server calls it from the event loop only, but the
-    storm harness may poke it from test threads.
+    Thread-safe: every connection thread of the server calls it.
     """
 
     def __init__(
@@ -92,7 +91,8 @@ class RateLimiter:
     def check(self, client_id: str) -> tuple[bool, float]:
         """Charge one token to ``client_id``; ``(granted, retry_after)``."""
         if self.rate is None:
-            self.granted += 1
+            with self._lock:
+                self.granted += 1
             return True, 0.0
         with self._lock:
             bucket = self._buckets.get(client_id)

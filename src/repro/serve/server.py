@@ -1,9 +1,13 @@
-"""A hand-rolled asyncio HTTP/1.1 front end over the request broker.
+"""A hand-rolled HTTP/1.1 front end over the request broker.
 
-No frameworks, no new dependencies: requests are parsed straight off the
-stream reader, responses are JSON with ``Content-Length`` (or chunked
-JSONL for event streams), and keep-alive is honoured until the server
-starts draining.
+No frameworks, no new dependencies, one thread per connection: the
+thread reads each request off a blocking ``TCP_NODELAY`` socket, calls
+the broker on that same thread (a cold job runs right there), and writes
+the response with one ``sendall``.  Responses are JSON with
+``Content-Length`` (or chunked JSONL for event streams), and keep-alive
+is honoured until the server starts draining.  The server idles most of
+the time, so a request that hands off to no other thread is answered
+soonest.
 
 Endpoints
 ---------
@@ -17,20 +21,32 @@ Endpoints
 ``POST /shutdown``           begin graceful shutdown (drain, then exit)
 ===========================  ========================================================
 
-Graceful shutdown: stop accepting, close idle keep-alive connections,
-let busy handlers finish their in-flight responses, then drain the
-broker (bounded by ``drain_grace_s``).  ``SIGTERM``/``SIGINT`` trigger
-the same path when the loop runs in the main thread (the CLI case).
+A connection must deliver each whole request within ``keepalive_idle_s``
+of the server starting to wait for it, or it is closed.  At most
+:data:`MAX_CONNECTIONS` connections are open at once.  When one more
+arrives, the connection that has waited longest for its next request is
+closed to make room; when every one is inside a request, the newcomer
+is answered ``503`` with ``Retry-After`` and closed, and no thread
+starts for it.
+
+Graceful shutdown: stop accepting, wake idle keep-alive readers, and let
+busy connections finish their in-flight responses, bounded by
+``drain_grace_s``.  ``SIGTERM``/``SIGINT`` trigger the same path when the
+server runs on the main thread (the CLI case).
 """
 
 from __future__ import annotations
 
-import asyncio
+import errno
 import json
+import os
+import queue
+import selectors
 import signal
+import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
@@ -39,9 +55,16 @@ from repro.serve.broker import Broker, ServeHTTPError
 from repro.serve.config import ServeConfig
 from repro.serve.events import EventLog
 
-__all__ = ["ReproServer", "HttpRequest"]
+__all__ = ["ReproServer", "HttpRequest", "MAX_CONNECTIONS"]
 
 _MAX_HEADER_BYTES = 32768
+_RECV_BYTES = 65536
+
+#: Open connections at most, one thread each (about 24 KB of memory apiece).
+#: At the cap an idle one is closed for a newcomer; with none idle, the
+#: newcomer is answered ``503``.  1024 is the usual soft limit on open
+#: files, so on such a system the descriptors run out no later than this.
+MAX_CONNECTIONS = 1024
 
 _STATUS_TEXT = {
     200: "OK",
@@ -97,23 +120,65 @@ class HttpRequest:
             raise _BadRequest(400, f"query parameter {name!r} must be a number") from exc
 
 
-@dataclass(slots=True)
-class _Conn:
-    writer: asyncio.StreamWriter
-    busy: bool = False
-    opened: float = field(default_factory=time.monotonic)
+class _Reader:
+    """Buffered reads off one connection's socket, each bounded by a deadline."""
+
+    __slots__ = ("_sock", "_buf")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+        self._buf = bytearray()
+
+    @property
+    def buffered(self) -> bool:
+        return bool(self._buf)
+
+    def fill(self, deadline: float) -> bool:
+        """Receive more bytes; False at EOF, TimeoutError past ``deadline``."""
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise TimeoutError("request not received in time")
+        self._sock.settimeout(remaining)
+        chunk = self._sock.recv(_RECV_BYTES)
+        self._buf += chunk
+        return bool(chunk)
+
+    def _take(self, size: int) -> bytes:
+        data = bytes(self._buf[:size])
+        del self._buf[:size]
+        return data
+
+    def readline(self, deadline: float, limit: int) -> bytes:
+        """The next line with its newline, or what is left at EOF.
+
+        A line longer than ``limit`` comes back as its first ``limit``
+        bytes, which the caller's size check refuses.
+        """
+        scanned = 0
+        while True:
+            end = self._buf.find(b"\n", scanned, limit)
+            if end >= 0:
+                return self._take(end + 1)
+            if len(self._buf) >= limit:
+                return self._take(limit)
+            scanned = len(self._buf)
+            if not self.fill(deadline):
+                return self._take(len(self._buf))
+
+    def read(self, size: int, deadline: float) -> bytes:
+        while len(self._buf) < size:
+            if not self.fill(deadline):
+                raise ConnectionError("connection closed inside a request body")
+        return self._take(size)
 
 
-async def _read_request(
-    reader: asyncio.StreamReader, max_body: int
-) -> HttpRequest | None:
-    """Parse one request off the wire; ``None`` on a clean EOF."""
-    try:
-        line = await reader.readline()
-    except (ConnectionError, asyncio.IncompleteReadError):
-        return None
+def _read_request(reader: _Reader, max_body: int, deadline: float) -> HttpRequest | None:
+    """Parse one request off the wire by ``deadline``; ``None`` on a clean EOF."""
+    line = reader.readline(deadline, _MAX_HEADER_BYTES + 1)
     if not line:
         return None
+    if len(line) > _MAX_HEADER_BYTES:
+        raise _BadRequest(431, "request headers too large")
     parts = line.decode("latin-1").strip().split()
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise _BadRequest(400, f"malformed request line: {line!r}")
@@ -121,7 +186,7 @@ async def _read_request(
     headers: dict[str, str] = {}
     total = len(line)
     while True:
-        header = await reader.readline()
+        header = reader.readline(deadline, _MAX_HEADER_BYTES + 1 - total)
         total += len(header)
         if total > _MAX_HEADER_BYTES:
             raise _BadRequest(431, "request headers too large")
@@ -138,7 +203,7 @@ async def _read_request(
         raise _BadRequest(400, f"invalid Content-Length: {raw_length!r}") from None
     if length < 0 or length > max_body:
         raise _BadRequest(413, f"request body of {length} bytes exceeds {max_body}")
-    body = await reader.readexactly(length) if length else b""
+    body = reader.read(length, deadline) if length else b""
     split = urlsplit(target)
     return HttpRequest(
         method=method,
@@ -147,6 +212,48 @@ async def _read_request(
         headers=headers,
         body=body,
     )
+
+
+def _listen(host: str, port: int) -> list[socket.socket]:
+    """Non-blocking listeners on every address ``host`` resolves to, one port.
+
+    ``""`` means every interface; an IPv6 socket is v6-only, so an IPv4
+    one can share its port; an address whose family this machine lacks
+    is skipped.  With port 0 the first socket picks the port and the
+    rest take it too.
+    """
+    infos = socket.getaddrinfo(
+        host or None, port, type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE
+    )
+    listeners: list[socket.socket] = []
+    try:
+        for family, kind, proto, _, address in dict.fromkeys(infos):
+            if listeners:
+                address = (address[0], listeners[0].getsockname()[1], *address[2:])
+            try:
+                sock = socket.socket(family, kind, proto)
+            except OSError:
+                continue  # no such family here
+            listeners.append(sock)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            if family == socket.AF_INET6:
+                sock.setsockopt(socket.IPPROTO_IPV6, socket.IPV6_V6ONLY, 1)
+            try:
+                sock.bind(address)
+            except OSError as exc:
+                if exc.errno != errno.EADDRNOTAVAIL:
+                    raise
+                listeners.pop().close()  # the family is not enabled
+                continue
+            sock.listen()
+            sock.setblocking(False)
+    except BaseException:
+        for sock in listeners:
+            sock.close()
+        raise
+    if not listeners:
+        raise OSError(f"no address to listen on for host {host!r}")
+    return listeners
 
 
 def _json_bytes(payload: Any) -> bytes:
@@ -169,16 +276,37 @@ def _response_head(
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
 
+def _json_response(
+    status: int, payload: Any, extra: dict[str, str] | None = None
+) -> bytes:
+    body = _json_bytes(payload) + b"\n"
+    return _response_head(status, len(body), extra) + body
+
+
+def _chunk(payload: dict[str, Any]) -> bytes:
+    line = _json_bytes(payload) + b"\n"
+    return f"{len(line):x}\r\n".encode("latin-1") + line + b"\r\n"
+
+
+@dataclass(slots=True, eq=False)
+class _Conn:
+    """One open connection and the thread serving it."""
+
+    sock: socket.socket
+    peer_host: str
+    thread: threading.Thread | None = None
+
+
 class ReproServer:
-    """The long-running job service: asyncio core + optional thread wrapper.
+    """The long-running job service: listeners plus one thread per connection.
 
     Two ways to run it:
 
-    * ``run_blocking()`` — the CLI path: owns the loop in the calling
-      (usually main) thread, installs signal handlers, serves until a
-      signal or ``POST /shutdown``.
+    * ``run_blocking()`` — the CLI path: accepts on the calling (usually
+      main) thread, installs signal handlers, serves until a signal or
+      ``POST /shutdown``.
     * ``start()`` / ``stop()`` — the embedded path used by tests and
-      the storm generator: the loop runs in a daemon thread; ``start()``
+      the storm generator: the server runs in a daemon thread; ``start()``
       returns once the port is bound.
     """
 
@@ -189,64 +317,179 @@ class ReproServer:
         self.port: int | None = None
         self.draining = False
         self.clean_drain: bool | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
+        self._listeners: list[socket.socket] = []
         self._ready = threading.Event()
         self._finished = threading.Event()
-        self._shutdown_event: asyncio.Event | None = None
+        self._shutdown = threading.Event()
         self._thread: threading.Thread | None = None
-        self._conns: dict[asyncio.Task, _Conn] = {}
+        self._lock = threading.Lock()  #: guards the three below
+        #: Open connections that count toward :data:`MAX_CONNECTIONS`.
+        self._conns: set[_Conn] = set()
+        #: Of those, the ones waiting for a request's first byte, longest first.
+        self._idle: dict[_Conn, None] = {}
+        #: Connections closed to make room, until their threads end.
+        self._closing: set[_Conn] = set()
         self._startup_error: BaseException | None = None
+        self._pid = os.getpid()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._shutdown_event = asyncio.Event()
-        self.broker = Broker(self.config, self._loop, registry=self._registry)
+    def _serve(self) -> None:
+        """Bind, accept until shutdown, then drain (the serving thread's body)."""
         try:
-            server = await asyncio.start_server(
-                self._handle_connection, self.config.host, self.config.port
-            )
+            self.broker = Broker(self.config, registry=self._registry)
+            listeners = _listen(self.config.host, self.config.port)
         except BaseException as exc:
             self._startup_error = exc
             self._ready.set()
             raise
-        self.port = server.sockets[0].getsockname()[1]
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                self._loop.add_signal_handler(signum, self.request_shutdown)
-            except (NotImplementedError, RuntimeError, ValueError):
-                break  # not the main thread (embedded mode): no signals
+        self._listeners = listeners
+        self.port = listeners[0].getsockname()[1]
         self._ready.set()
         try:
-            await self._shutdown_event.wait()
-            # Drain: stop accepting, kick idle connections, let busy
-            # handlers finish, then drain broker executions.
-            self.draining = True
-            server.close()
-            await server.wait_closed()
-            for conn in list(self._conns.values()):
-                if not conn.busy:
-                    conn.writer.close()
-            handler_tasks = [t for t in self._conns if not t.done()]
-            if handler_tasks:
-                await asyncio.wait(handler_tasks, timeout=self.config.drain_grace_s)
-            self.clean_drain = await self.broker.drain(self.config.drain_grace_s)
+            self._accept(listeners)
         finally:
-            server.close()
+            self.request_shutdown()  # already requested, unless accepting failed
+            for listener in listeners:
+                listener.close()
+            self._drain()
+
+    def _accept(self, listeners: list[socket.socket]) -> None:
+        """Start a thread per accepted connection until shutdown is requested."""
+        with selectors.DefaultSelector() as selector:
+            for listener in listeners:
+                selector.register(listener, selectors.EVENT_READ)
+            while not self._shutdown.is_set():
+                for key, _ in selector.select():
+                    if self._shutdown.is_set():
+                        return
+                    try:
+                        sock, peer = key.fileobj.accept()
+                    except BlockingIOError:
+                        continue  # the peer gave up before we got to it
+                    except OSError:
+                        time.sleep(0.01)  # e.g. out of file descriptors: retry, without spinning
+                        continue
+                    self._start_connection(sock, peer)
+
+    def _start_connection(self, sock: socket.socket, peer: tuple) -> None:
+        """Admit ``sock`` and start its thread, or answer it ``503``."""
+        conn = _Conn(sock, peer[0])
+        with self._lock:
+            admitted = self._admit(conn)
+        if not admitted:
+            self._refuse(
+                sock, f"server busy: {MAX_CONNECTIONS} connections open, none idle"
+            )
+            return
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn.thread = threading.Thread(
+                target=self._serve_connection,
+                args=(conn,),
+                name=f"repro-conn-{peer[0]}:{peer[1]}",
+                daemon=True,
+            )
+            conn.thread.start()
+        except (OSError, RuntimeError) as exc:  # e.g. "can't start new thread"
+            self._forget(conn)
+            self._refuse(sock, f"server busy: {exc}")
+
+    def _admit(self, conn: _Conn) -> bool:
+        """Count ``conn`` in if there is room; call under ``_lock``.
+
+        At the cap, the connection that has waited longest for its next
+        request is shut for reading, as at drain: its thread sees EOF
+        and ends, and it stops counting.  Only connections inside a
+        request hold their place.
+        """
+        if len(self._conns) >= MAX_CONNECTIONS:
+            if not self._idle:
+                return False
+            victim = next(iter(self._idle))
+            del self._idle[victim]
+            self._conns.discard(victim)
+            self._closing.add(victim)
+            try:
+                victim.sock.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
+        self._conns.add(conn)
+        self._idle[conn] = None  # until its first request arrives
+        return True
+
+    def _forget(self, conn: _Conn) -> None:
+        with self._lock:
+            self._conns.discard(conn)
+            self._idle.pop(conn, None)
+            self._closing.discard(conn)
+
+    def _refuse(self, sock: socket.socket, message: str) -> None:
+        """Answer a connection that gets no thread with ``503`` and close it."""
+        try:
+            sock.settimeout(1.0)
+            sock.sendall(
+                _json_response(
+                    503, {"error": message, "status": 503}, {"Retry-After": "1"}
+                )
+            )
+        except OSError:
+            pass
+        finally:
+            sock.close()
+
+    def _drain(self) -> None:
+        """Wake idle keep-alive readers; wait ``drain_grace_s`` for busy connections."""
+        deadline = time.monotonic() + self.config.drain_grace_s
+        with self._lock:
+            conns = [*self._conns, *self._closing]
+            for conn in conns:
+                try:
+                    conn.sock.shutdown(socket.SHUT_RD)  # a blocked recv() sees EOF
+                except OSError:
+                    pass
+        for conn in conns:
+            conn.thread.join(max(0.0, deadline - time.monotonic()))
+        self.clean_drain = not any(conn.thread.is_alive() for conn in conns)
 
     def request_shutdown(self) -> None:
-        """Begin graceful shutdown; safe to call from any thread via the loop."""
-        if self._shutdown_event is not None and not self._shutdown_event.is_set():
-            self._shutdown_event.set()
+        """Begin graceful shutdown; safe from any thread and from a signal handler."""
+        if self._shutdown.is_set():
+            return
+        self.draining = True
+        self._shutdown.set()
+        for listener in self._listeners:
+            try:
+                listener.shutdown(socket.SHUT_RDWR)  # wakes the accept loop on Linux
+            except OSError:
+                pass
+
+    def _on_signal(self, signum: int, frame: Any) -> None:
+        if os.getpid() != self._pid:
+            # A forked engine worker that has not reset its handlers yet:
+            # die as the signal asks, and never touch the shared listeners.
+            signal.signal(signum, signal.SIG_DFL)
+            os.kill(os.getpid(), signum)
+            return
+        self.request_shutdown()
 
     def run_blocking(self) -> None:
-        """Serve on the current thread until shutdown (the CLI entry)."""
+        """Serve on the current thread until shutdown (the CLI entry).
+
+        On the main thread, ``SIGTERM`` and ``SIGINT`` begin the graceful
+        shutdown; the previous handlers are restored on return.
+        """
+        previous = {}
+        if threading.current_thread() is threading.main_thread():
+            for signum in (signal.SIGTERM, signal.SIGINT):
+                previous[signum] = signal.signal(signum, self._on_signal)
         try:
-            asyncio.run(self._main())
+            self._serve()
         finally:
+            for signum, handler in previous.items():
+                signal.signal(signum, handler)
             self._finished.set()
 
     def start(self, timeout: float = 10.0) -> "ReproServer":
@@ -254,7 +497,7 @@ class ReproServer:
 
         def runner() -> None:
             try:
-                asyncio.run(self._main())
+                self._serve()
             except BaseException as exc:  # surface boot failures to start()
                 if self._startup_error is None:
                     self._startup_error = exc
@@ -274,11 +517,7 @@ class ReproServer:
 
     def stop(self, grace: float = 15.0) -> bool:
         """Request shutdown and join the server thread; True on clean drain."""
-        if self._loop is not None and not self._finished.is_set():
-            try:
-                self._loop.call_soon_threadsafe(self.request_shutdown)
-            except RuntimeError:
-                pass  # loop already gone
+        self.request_shutdown()
         self._finished.wait(grace)
         if self._thread is not None:
             self._thread.join(grace)
@@ -288,99 +527,97 @@ class ReproServer:
     # Connection handling
     # ------------------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        conn = _Conn(writer=writer)
-        assert task is not None
-        self._conns[task] = conn
-        peer = writer.get_extra_info("peername")
-        peer_host = peer[0] if isinstance(peer, tuple) else "local"
+    def _serve_connection(self, conn: _Conn) -> None:
+        """The connection thread: read a request, answer it, repeat."""
+        sock = conn.sock
+        reader = _Reader(sock)
         try:
             while not self.draining:
-                try:
-                    request = await asyncio.wait_for(
-                        _read_request(reader, self.config.max_body_bytes),
-                        timeout=self.config.keepalive_idle_s,
-                    )
-                except asyncio.TimeoutError:
+                deadline = time.monotonic() + self.config.keepalive_idle_s
+                if not self._await_request(conn, reader, deadline):
                     break
+                try:
+                    request = _read_request(reader, self.config.max_body_bytes, deadline)
                 except _BadRequest as exc:
-                    await self._send_json(
-                        writer, exc.status, {"error": exc.message, "status": exc.status}
+                    self._send_json(
+                        sock, exc.status, {"error": exc.message, "status": exc.status}
                     )
                     break
                 if request is None:
                     break
-                conn.busy = True
-                try:
-                    keep_open = await self._dispatch(request, writer, peer_host)
-                finally:
-                    conn.busy = False
+                keep_open = self._dispatch(request, sock, conn.peer_host)
                 if not keep_open or request.wants_close() or self.draining:
                     break
-        except (ConnectionError, asyncio.IncompleteReadError, asyncio.CancelledError):
+        except OSError:  # idle timeout, reset, or a peer gone mid-request
             pass
         finally:
-            self._conns.pop(task, None)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            self._forget(conn)
+            sock.close()
 
-    async def _send_json(
+    def _await_request(self, conn: _Conn, reader: _Reader, deadline: float) -> bool:
+        """Wait for the next request's first byte; False at EOF.
+
+        Meanwhile the connection is idle: the accept loop may close it to
+        make room for a newcomer.
+        """
+        if reader.buffered:
+            return True
+        with self._lock:
+            if conn in self._conns:
+                self._idle[conn] = None
+        try:
+            return reader.fill(deadline)
+        finally:
+            with self._lock:
+                self._idle.pop(conn, None)
+
+    def _send(self, sock: socket.socket, data: bytes) -> None:
+        sock.settimeout(self.config.keepalive_idle_s)
+        sock.sendall(data)
+
+    def _send_json(
         self,
-        writer: asyncio.StreamWriter,
+        sock: socket.socket,
         status: int,
         payload: Any,
         extra: dict[str, str] | None = None,
     ) -> None:
-        body = _json_bytes(payload) + b"\n"
-        writer.write(_response_head(status, len(body), extra) + body)
-        await writer.drain()
+        self._send(sock, _json_response(status, payload, extra))
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
 
-    async def _dispatch(
-        self, request: HttpRequest, writer: asyncio.StreamWriter, peer_host: str
-    ) -> bool:
+    def _dispatch(self, request: HttpRequest, sock: socket.socket, peer_host: str) -> bool:
         """Handle one request; returns False when the connection must close."""
         assert self.broker is not None
         path, method = request.path, request.method
         try:
             if path == "/health" and method == "GET":
-                await self._send_json(
-                    writer, 200, {"status": "ok", "draining": self.draining}
-                )
+                self._send_json(sock, 200, {"status": "ok", "draining": self.draining})
             elif path == "/jobs" and method == "GET":
-                await self._send_json(writer, 200, self._jobs_payload())
+                self._send_json(sock, 200, self._jobs_payload())
             elif path == "/stats" and method == "GET":
-                await self._send_json(writer, 200, self._stats_payload())
+                self._send_json(sock, 200, self._stats_payload())
             elif path == "/run" and method == "POST":
-                await self._handle_run(request, writer, peer_host)
+                self._handle_run(request, sock, peer_host)
             elif path.startswith("/runs/") and path.endswith("/events") and method == "GET":
                 run_id = path[len("/runs/") : -len("/events")]
-                return await self._handle_events(request, writer, run_id)
+                return self._handle_events(request, sock, run_id)
             elif path == "/shutdown" and method == "POST":
-                await self._send_json(writer, 202, {"status": "draining"})
+                self._send_json(sock, 202, {"status": "draining"})
                 self.request_shutdown()
                 return False
             elif path in ("/health", "/jobs", "/stats", "/run", "/shutdown"):
-                await self._send_json(
-                    writer, 405, {"error": f"{method} not allowed on {path}", "status": 405}
+                self._send_json(
+                    sock, 405, {"error": f"{method} not allowed on {path}", "status": 405}
                 )
             else:
-                await self._send_json(
-                    writer, 404, {"error": f"no such endpoint: {path}", "status": 404}
+                self._send_json(
+                    sock, 404, {"error": f"no such endpoint: {path}", "status": 404}
                 )
         except _BadRequest as exc:
-            await self._send_json(
-                writer, exc.status, {"error": exc.message, "status": exc.status}
-            )
+            self._send_json(sock, exc.status, {"error": exc.message, "status": exc.status})
         except ServeHTTPError as exc:
             extra = None
             if exc.retry_after is not None:
@@ -389,15 +626,13 @@ class ReproServer:
                         exc.retry_after
                     )
                 }
-            await self._send_json(
-                writer, exc.status, {"error": exc.message, "status": exc.status}, extra
+            self._send_json(
+                sock, exc.status, {"error": exc.message, "status": exc.status}, extra
             )
-        except (ConnectionError, asyncio.CancelledError):
+        except (ConnectionError, TimeoutError):
             raise
-        except Exception as exc:  # a handler bug must not kill the server
-            await self._send_json(
-                writer, 500, {"error": f"internal error: {exc}", "status": 500}
-            )
+        except Exception as exc:  # a handler bug must not kill the connection
+            self._send_json(sock, 500, {"error": f"internal error: {exc}", "status": 500})
         return True
 
     def _jobs_payload(self) -> dict[str, Any]:
@@ -424,9 +659,7 @@ class ReproServer:
         }
         return stats
 
-    async def _handle_run(
-        self, request: HttpRequest, writer: asyncio.StreamWriter, peer_host: str
-    ) -> None:
+    def _handle_run(self, request: HttpRequest, sock: socket.socket, peer_host: str) -> None:
         assert self.broker is not None
         body = request.json()
         if not isinstance(body, dict) or not isinstance(body.get("job"), str):
@@ -435,12 +668,9 @@ class ReproServer:
         if not isinstance(params, dict):
             raise _BadRequest(400, '"params" must be a JSON object')
         client_id = request.headers.get("x-client-id", peer_host)
-        payload = await self.broker.submit(body["job"], params, client_id)
-        await self._send_json(writer, 200, payload)
+        self._send_json(sock, 200, self.broker.submit(body["job"], params, client_id))
 
-    async def _handle_events(
-        self, request: HttpRequest, writer: asyncio.StreamWriter, run_id: str
-    ) -> bool:
+    def _handle_events(self, request: HttpRequest, sock: socket.socket, run_id: str) -> bool:
         """Stream a run's records as chunked JSONL: replay, then live tail.
 
         The stream ends at the run's terminal event (``run_summary`` or
@@ -455,36 +685,25 @@ class ReproServer:
             request.query_float("timeout", self.config.stream_timeout_s),
             self.config.stream_timeout_s,
         )
-        snapshot, queue = log.subscribe()
-        writer.write(_response_head(200, None))
+        snapshot, events = log.subscribe()
         try:
-            terminal = False
-            for payload in snapshot:
-                self._write_chunk(writer, payload)
-                terminal = terminal or EventLog.is_terminal(payload)
-            await writer.drain()
+            terminal = any(EventLog.is_terminal(payload) for payload in snapshot)
+            self._send(
+                sock, _response_head(200, None) + b"".join(map(_chunk, snapshot))
+            )
             deadline = time.monotonic() + timeout
-            while queue is not None and not terminal and not self.draining:
+            while events is not None and not terminal and not self.draining:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
                 try:
-                    payload = await asyncio.wait_for(
-                        queue.get(), timeout=min(remaining, 1.0)
-                    )
-                except asyncio.TimeoutError:
+                    payload = events.get(timeout=min(remaining, 1.0))
+                except queue.Empty:
                     continue  # poll the draining flag, keep waiting
-                self._write_chunk(writer, payload)
-                await writer.drain()
+                self._send(sock, _chunk(payload))
                 terminal = EventLog.is_terminal(payload)
-            writer.write(b"0\r\n\r\n")
-            await writer.drain()
+            self._send(sock, b"0\r\n\r\n")
         finally:
-            if queue is not None:
-                log.unsubscribe(queue)
+            if events is not None:
+                log.unsubscribe(events)
         return False
-
-    @staticmethod
-    def _write_chunk(writer: asyncio.StreamWriter, payload: dict[str, Any]) -> None:
-        line = _json_bytes(payload) + b"\n"
-        writer.write(f"{len(line):x}\r\n".encode("latin-1") + line + b"\r\n")

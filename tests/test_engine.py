@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from repro.engine import (
     default_registry,
 )
 from repro.engine.artifacts import RunRecord
+from repro.engine.cache import encode_result
 from repro.errors import (
     EngineError,
     JobFailedError,
@@ -569,6 +572,44 @@ class TestResultEncoding:
         assert sizes[0][0] == "miss" and sizes[1][0] == "hit"
         assert sizes[0][1] == sizes[1][1] > 0
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "registry, job, params",
+        [(None, "certificate", {"n": 4096}), (_ODD_REGISTRY, "odd", {"seed": 5})],
+        ids=["certificate-4096", "int-keys-non-ascii"],
+    )
+    def test_hits_report_the_miss_size_without_encoding(
+        self, tmp_path, monkeypatch, jobs, registry, job, params
+    ):
+        from repro.engine import cache as cache_module
+        from repro.engine import scheduler
+        from repro.serve.hot import HotLRU
+
+        def run(cache):
+            log = RunLog(path=None)
+            result = Engine(registry=registry, cache=cache, jobs=jobs, run_log=log).run_one(
+                job, params
+            )
+            (record,) = log.records
+            return record.cache, record.result_bytes, result
+
+        hot = HotLRU(DiskCache(tmp_path), max_entries=4)
+        state, size, result = run(hot)
+        assert state == "miss" and size == len(cache_module.encode_result(result))
+        calls = []
+        real_encode = cache_module.encode_result
+
+        def counting_encode(value):
+            calls.append(value)
+            return real_encode(value)
+
+        monkeypatch.setattr(scheduler, "encode_result", counting_encode)
+        monkeypatch.setattr(cache_module, "encode_result", counting_encode)
+        assert run(hot)[:2] == ("hit", size)  # hot hit
+        assert run(HotLRU(DiskCache(tmp_path), max_entries=4))[:2] == ("hit", size)
+        assert run(DiskCache(tmp_path))[:2] == ("hit", size)  # disk hit
+        assert calls == []
+
     def test_job_directory_is_recreated(self, tmp_path):
         import shutil
 
@@ -583,6 +624,52 @@ class TestResultEncoding:
         registry.job("bad", params=())(lambda params, deps: {"x": object()})
         with pytest.raises(JobFailedError, match="not JSON serializable"):
             Engine(registry=registry, cache=None).run_one("bad")
+
+
+class TestCacheWrites:
+    """Entries are written through a ``mkstemp`` temp file, then renamed."""
+
+    def test_entry_is_mode_0600(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        cache.put("job", "0" * 64, {}, "fp", 1, "1")
+        (entry,) = (tmp_path / "v1" / "job").iterdir()
+        assert entry.name == "0" * 64 + ".json"
+        assert stat.S_IMODE(entry.stat().st_mode) == 0o600
+
+    @pytest.mark.parametrize("failing", ["write", "replace"])
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch, failing):
+        cache = DiskCache(tmp_path)
+        cache.put("job", "0" * 64, {}, "fp", 1, "1")
+
+        def refuse(*args):
+            raise OSError(f"{failing} refused")
+
+        monkeypatch.setattr(os, failing, refuse)
+        cache.put("job", "1" * 64, {}, "fp", 2, "2")  # swallowed: degrade, never fail
+        monkeypatch.undo()
+        assert [p.name for p in (tmp_path / "v1" / "job").iterdir()] == ["0" * 64 + ".json"]
+
+    def test_threads_writing_one_key_leave_one_valid_entry(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        result = {"margin": 16640, "text": "Ünïcødé", "by_int": {10: "ten", 2: "two"}}
+        encoded = encode_result(result)
+        barrier = threading.Barrier(8)
+
+        def write():
+            barrier.wait(timeout=10)
+            for _ in range(25):
+                cache.put("job", "0" * 64, {"n": 16}, "fp", result, encoded)
+
+        threads = [threading.Thread(target=write) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [p.name for p in (tmp_path / "v1" / "job").iterdir()] == ["0" * 64 + ".json"]
+        entry = cache.get("job", "0" * 64)
+        assert entry["result"] == json.loads(encoded)
+        assert entry["result_bytes"] == len(encoded)
 
 
 class TestBuiltinJobs:

@@ -2,20 +2,23 @@
 
 Covers the token bucket (with an injected clock, including the
 burst-exactly-at-limit edge), the per-client rate limiter, the hot LRU
-(eviction, peek, write-through, stats), and the in-flight coalescer.
+(eviction, peek, write-through, stats), the in-flight coalescer, and the
+broker's counters under concurrent submitters.
 """
 
 from __future__ import annotations
 
-import asyncio
+import sys
 import tempfile
+import threading
+import time
 
 import pytest
 
-from repro.engine import DiskCache
+from repro.engine import DiskCache, JobRegistry
 from repro.errors import EngineError
 from repro.serve import Coalescer, HotLRU, RateLimiter, ServeConfig, TokenBucket
-from repro.serve.broker import ServeHTTPError
+from repro.serve.broker import Broker, ServeHTTPError
 
 
 class FakeClock:
@@ -143,58 +146,122 @@ class TestHotLRU:
 
 
 class TestCoalescer:
-    def _run(self, coro):
-        return asyncio.run(coro)
-
     def test_leader_then_followers_share_one_future(self):
-        async def scenario():
-            loop = asyncio.get_running_loop()
-            co = Coalescer()
-            assert co.get("job", "k") is None
-            execution = co.begin("job", "k", "run-1", loop)
-            follower = co.get("job", "k")
-            assert follower is execution
-            assert execution.followers == 1
-            co.finish(execution, result={"ok": True})
-            assert co.get("job", "k") is None  # no longer in flight
-            assert (await execution.future) == {"ok": True}
-            assert co.started == 1 and co.coalesced == 1
-
-        self._run(scenario())
+        co = Coalescer()
+        assert co.get("job", "k") is None
+        execution = co.begin("job", "k", "run-1")
+        follower = co.get("job", "k")
+        assert follower is execution
+        assert execution.followers == 1
+        co.finish(execution, result={"ok": True})
+        assert co.get("job", "k") is None  # no longer in flight
+        assert execution.future.result(timeout=5) == {"ok": True}
+        assert co.started == 1 and co.coalesced == 1
 
     def test_finish_with_error_propagates(self):
-        async def scenario():
-            loop = asyncio.get_running_loop()
-            co = Coalescer()
-            execution = co.begin("job", "k", "run-1", loop)
-            co.finish(execution, error=ServeHTTPError(504, "timed out"))
-            with pytest.raises(ServeHTTPError):
-                await execution.future
-            assert len(co) == 0
-
-        self._run(scenario())
+        co = Coalescer()
+        execution = co.begin("job", "k", "run-1")
+        co.finish(execution, error=ServeHTTPError(504, "timed out"))
+        with pytest.raises(ServeHTTPError):
+            execution.future.result(timeout=5)
+        assert len(co) == 0
 
     def test_follower_cancel_does_not_resolve_future(self):
-        """A follower awaiting through shield() cancels only its own wait."""
+        """A follower that stops waiting gives up only its own wait."""
+        co = Coalescer()
+        execution = co.begin("job", "k", "run-1")
+        gave_up = threading.Event()
 
-        async def scenario():
-            loop = asyncio.get_running_loop()
-            co = Coalescer()
-            execution = co.begin("job", "k", "run-1", loop)
+        def follower():
+            try:
+                execution.future.result(timeout=0.05)
+            except TimeoutError:
+                gave_up.set()
 
-            async def follower():
-                return await asyncio.shield(execution.future)
+        thread = threading.Thread(target=follower)
+        thread.start()
+        thread.join(timeout=5)
+        assert not thread.is_alive() and gave_up.is_set()
+        assert not execution.future.cancelled()
+        assert not execution.future.done()
+        co.finish(execution, result=42)
+        assert execution.future.result(timeout=5) == 42
 
-            task = asyncio.create_task(follower())
-            await asyncio.sleep(0)
-            task.cancel()
-            with pytest.raises(asyncio.CancelledError):
-                await task
-            assert not execution.future.cancelled()
-            co.finish(execution, result=42)
-            assert (await execution.future) == 42
 
-        self._run(scenario())
+def _nap(params, deps):
+    time.sleep(0.05)
+    return params["tag"]
+
+
+_NAP_REGISTRY = JobRegistry()
+_NAP_REGISTRY.job("nap", params=("tag",))(_nap)
+
+
+class TestBrokerUnderThreads:
+    """Connection threads share the broker: no lost update, one leader per key."""
+
+    def test_concurrent_submitters(self):
+        broker = Broker(ServeConfig(no_cache=True, hot_entries=64), registry=_NAP_REGISTRY)
+        threads, keys, hot_reads = 12, 30, 100
+        barrier = threading.Barrier(threads)
+        payloads: list[dict] = []
+        errors: list[BaseException] = []
+
+        def submitter():
+            try:
+                for tag in range(keys):  # every thread asks for each cold key at once
+                    barrier.wait(timeout=10)
+                    payloads.append(broker.submit("nap", {"tag": tag}, "t"))
+                for _ in range(hot_reads):
+                    assert broker.submit("nap", {"tag": 0}, "t")["cache"] == "hot"
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=submitter) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        for tag in range(keys):
+            runs = {p["run_id"] for p in payloads if p["result"] == tag}
+            assert len(runs) == 1, f"key {tag} executed {len(runs)} times"
+        counters = broker.stats()["counters"]
+        assert counters["executed"] == keys
+        assert counters["coalesced"] == keys * (threads - 1)
+        assert counters["requests"] == threads * (keys + hot_reads)
+        assert counters["hot_served"] == threads * hot_reads
+        assert broker.limiter.stats()["granted"] == threads * (keys + hot_reads)
+
+    def test_leader_finishing_before_the_lock_is_read_hot(self):
+        """A request whose hot peek missed just before a leader finished
+        reads what the leader stored, rather than leading a second run."""
+        broker = Broker(ServeConfig(no_cache=True, hot_entries=64), registry=_NAP_REGISTRY)
+        real_peek = broker.hot.peek
+        peeks = []
+
+        def peek(job_name, key):
+            peeks.append(key)
+            entry = real_peek(job_name, key)
+            if len(peeks) == 1:  # the late request missed; a leader runs now
+                leader = threading.Thread(target=broker.submit, args=("nap", {"tag": 7}, "t"))
+                leader.start()
+                leader.join(timeout=10)
+                assert not leader.is_alive()
+            return entry
+
+        broker.hot.peek = peek
+        payload = broker.submit("nap", {"tag": 7}, "t")
+        assert payload["cache"] == "hot" and payload["result"] == 7
+        counters = broker.stats()["counters"]
+        assert counters["executed"] == 1
+        assert counters["hot_served"] == 1 and counters["coalesced"] == 0
 
 
 class TestServeConfig:
