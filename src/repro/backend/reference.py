@@ -7,7 +7,7 @@ verbatim, byte-for-byte in behaviour:
 * :meth:`~ReferenceBackend.fold_rows` / :meth:`~ReferenceBackend.make_step_fn`
   — the subset-construction OR-fold of :mod:`repro.automata.packed`;
 * :meth:`~ReferenceBackend.superset_rows` / :meth:`~ReferenceBackend.and_reduce`
-  — the rectangle-growth row scans of :mod:`repro.comm.covers`;
+  — the rectangle-growth row scans of :mod:`repro.comm.cover`;
 * :meth:`~ReferenceBackend.bareiss_rank` / :meth:`~ReferenceBackend.gf2_rank`
   — the elimination loops of :mod:`repro.comm.rank`;
 * :meth:`~ReferenceBackend.max_bilinear` — the Gray-code SWAR sweep of

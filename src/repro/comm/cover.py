@@ -1,13 +1,13 @@
-"""Branch-and-price exact rectangle covers: certified minimum 1-covers.
+"""Branch-and-price rectangle covers: certified minimum 1-covers.
 
 The partition number — the minimum number of pairwise disjoint all-ones
 rectangles covering the 1-entries of a matrix — is the quantity
 Proposition 16 turns into a uCFG size lower bound, and a minimum
 rectangle cover is exactly a minimum biclique cover of the matrix's
-bipartite support graph.  The plain branch-and-bound of
-:func:`repro.comm.covers.minimum_disjoint_cover` dies around ``p = 4``
-on the ``L_n`` matrices because its only lower bound is cell count over
-maximum rectangle area; this module replaces the core with a
+bipartite support graph.  The plain branch-and-bound that
+:func:`repro.comm.covers.minimum_disjoint_cover` once ran dies around
+``p = 4`` on the ``L_n`` matrices because its only lower bound is cell
+count over maximum rectangle area; this module replaces the core with a
 branch-and-price-style search whose pruning machinery certifies optima
 long before the tree is explored:
 
@@ -39,31 +39,40 @@ Each bound stage runs only while the gap is open, so easy instances
 (`L_p` included: greedy = ``2^p - 1`` = rank) certify at the *root* in
 milliseconds.  When the gap survives, the search branches on the
 *least-flexible* uncovered cell — the one whose residual row and column
-are thinnest — over all inclusion-maximal rectangles through it,
-memoising visited uncovered-states by their cell bitmask.
+are thinnest — over the inclusion-maximal rectangles through it, which
+Close-by-One lists as the concepts of the cell's context, memoising
+visited uncovered-states by their cell bitmask.  In disjoint mode those
+rectangles are maximal in the *residual*, a family that can miss every
+minimum partition (see :func:`solve_cover`).
 
-Everything runs on the :class:`~repro.comm.packed.PackedMatrix` bitmask
-currency with popcount / ``bit_indices`` / ``cells_of_rect`` routed
-through the active kernel backend (:mod:`repro.backend`); results are
-bit-exact across backends.  The pre-existing branch-and-bound survives
-frozen in ``tests/legacy_comm.py`` as the property-test oracle for every
-matrix it can still finish.
+This module holds all of the package's mask-level rectangle code: growth,
+Close-by-One enumeration, the greedy covers and the disjointness check.
+:mod:`repro.comm.covers` and :mod:`repro.comm.nondeterministic` wrap it
+for frozenset rectangles.  Everything runs on the
+:class:`~repro.comm.packed.PackedMatrix` bitmask currency with popcount /
+``bit_indices`` / ``cells_of_rect`` routed through the active kernel
+backend (:mod:`repro.backend`); results are bit-exact across backends.
+The pre-existing branch-and-bound survives frozen in
+``tests/legacy_comm.py`` as a property-test oracle.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Sequence
 
 from repro.backend import get_backend
+from repro.comm.fooling import fooling_set_bound
 from repro.comm.matrix import (
     CommMatrix,
     disjointness_matrix,
     equality_matrix,
     intersection_matrix,
 )
-from repro.comm.packed import PackedMatrix, as_packed, cells_of_rect, iter_bits
+from repro.comm.packed import PackedMatrix, as_packed, cells_of_rect, iter_bits, mask_of
+from repro.comm.rank import rank_over_q
 from repro.errors import CoverBudgetExceeded, RectangleError
 
 __all__ = [
@@ -167,26 +176,79 @@ def matrix_from_spec(
 
 
 # ----------------------------------------------------------------------
-# Maximal-rectangle (formal concept) enumeration — the LP's column set
+# Rectangles as masks: growth, Close-by-One enumeration, checks
 # ----------------------------------------------------------------------
 
 
-def _all_maximal_masks(allow: list[int], n_cols: int, limit: int) -> list[MaskRect] | None:
+def _rects_out(cover: Iterable[MaskRect]) -> tuple[Rect, ...]:
+    return tuple(
+        (frozenset(iter_bits(rows)), frozenset(iter_bits(cols)))
+        for rows, cols in cover
+    )
+
+
+def _allow_rows(matrix: PackedMatrix, allowed: Iterable[tuple[int, int]]) -> list[int]:
+    """Per-row masks of cells that are both 1-entries and in ``allowed``.
+
+    Every ``allowed`` cell must lie inside the matrix: out-of-range
+    indices raise a ``ValueError`` naming the offending cell instead of
+    being silently dropped (rows) or corrupting the mask arithmetic
+    (negative columns).
+    """
+    n_rows, n_cols = matrix.shape
+    by_row = [0] * n_rows
+    for i, j in allowed:
+        if not (0 <= i < n_rows and 0 <= j < n_cols):
+            raise ValueError(
+                f"allowed cell ({i}, {j}) outside the {n_rows}x{n_cols} matrix"
+            )
+        by_row[i] |= 1 << j
+    return [by_row[i] & matrix.row_masks[i] for i in range(n_rows)]
+
+
+def _grow_masks(
+    allow: list[int], i0: int, j0: int, column_first: bool
+) -> MaskRect:
+    """Grow a maximal all-ones rectangle around the seed within ``allow``.
+
+    ``allow[i]`` must already be intersected with the 1-entries of row
+    ``i``; growth is then pure mask arithmetic: a column joins when its
+    bit survives the AND of every member row, a row joins when it
+    contains every member column.
+    """
+    backend = get_backend()
+    seed_row = 1 << i0
+    seed_col = 1 << j0
+    if column_first:
+        cols = allow[i0] | seed_col
+        rows = seed_row | backend.superset_rows(allow, cols)
+    else:
+        rows = seed_row | backend.superset_rows(allow, seed_col)
+        cols = seed_col | backend.and_reduce(allow, rows)
+    return rows, cols
+
+
+def _all_maximal_masks(allow: list[int], limit: int) -> list[MaskRect] | None:
     """All inclusion-maximal non-empty rectangles of ``allow``, or ``None``.
 
     Close-by-One enumeration of the formal concepts of the allowed-cell
     relation: each concept is generated exactly once, at the recursion
     path of its lexicographically-least column generator, recognised by
     the canonicity test (no column below the branch column may join the
-    closure).  Returns ``None`` when more than ``limit`` rectangles
-    exist — callers must then skip bounds that need the *complete* set.
+    closure).  Only columns some row allows are tried.  Returns ``None``
+    as soon as it has listed ``limit + 1`` rectangles, so ``limit`` also
+    bounds its work: callers must then do without the *complete* set.
     """
     backend = get_backend()
+    present = 0
+    for mask in allow:
+        present |= mask
+    columns = backend.bit_indices(present)
     out: list[MaskRect] = []
 
-    def descend(cols: int, rows: int, start: int) -> bool:
-        for j in range(start, n_cols):
-            bit = 1 << j
+    def descend(cols: int, start: int) -> bool:
+        for k in range(start, len(columns)):
+            bit = 1 << columns[k]
             if cols & bit:
                 continue
             rows2 = backend.superset_rows(allow, cols | bit)
@@ -198,13 +260,27 @@ def _all_maximal_masks(allow: list[int], n_cols: int, limit: int) -> list[MaskRe
             out.append((rows2, cols2))
             if len(out) > limit:
                 return False
-            if not descend(cols2, rows2, j + 1):
+            if not descend(cols2, k + 1):
                 return False
         return True
 
-    if not descend(0, (1 << len(allow)) - 1 if allow else 0, 0):
-        return None
-    return out
+    return out if descend(0, 0) else None
+
+
+def _maximal_masks_at(
+    allow: list[int], i0: int, j0: int, limit: int
+) -> list[MaskRect] | None:
+    """The maximal rectangles of ``allow`` through the allowed cell ``(i0, j0)``.
+
+    They are exactly the concepts of the cell's context — the rows that
+    hold ``j0``, cut to the columns of row ``i0``: row ``i0`` holds every
+    column of the context and every row holds ``j0``, so each concept
+    passes through the cell and is closed in ``allow`` too.  ``None``
+    when more than ``limit`` exist, as for :func:`_all_maximal_masks`.
+    """
+    seed_col, row_cols = 1 << j0, allow[i0]
+    context = [mask & row_cols if mask & seed_col else 0 for mask in allow]
+    return _all_maximal_masks(context, limit)
 
 
 def all_maximal_rectangles(
@@ -216,15 +292,29 @@ def all_maximal_rectangles(
     [2, 2]
     """
     pm = matrix_from_spec(matrix)
-    masks = _all_maximal_masks(list(pm.row_masks), pm.n_cols, limit)
+    masks = _all_maximal_masks(list(pm.row_masks), limit)
     if masks is None:
         raise RectangleError(
             f"more than {limit} maximal rectangles in a {pm.shape} matrix"
         )
-    return [
-        (frozenset(iter_bits(rows)), frozenset(iter_bits(cols)))
-        for rows, cols in masks
-    ]
+    return list(_rects_out(masks))
+
+
+def verify_disjoint_cover(
+    matrix: CommMatrix | PackedMatrix, cover: Iterable[Rect]
+) -> bool:
+    """Check a claimed disjoint cover: all-ones blocks, disjoint, exhaustive."""
+    pm = as_packed(matrix)
+    remaining = pm.cells_mask()
+    for rows, cols in cover:
+        rows_mask, cols_mask = mask_of(rows), mask_of(cols)
+        if not pm.is_all_ones_rect(rows_mask, cols_mask):
+            return False
+        cells = cells_of_rect(rows_mask, cols_mask, pm.n_cols)
+        if cells & ~remaining:
+            return False  # overlap (every stray 0-cell already failed above)
+        remaining &= ~cells
+    return not remaining
 
 
 # ----------------------------------------------------------------------
@@ -295,7 +385,7 @@ def _lp_bound(
     pivot_limit: int,
 ) -> int | None:
     """The ceil'd fractional-cover dual bound, or ``None`` when capped."""
-    rects = _all_maximal_masks(allow, n_cols, rect_limit)
+    rects = _all_maximal_masks(allow, rect_limit)
     if rects is None:
         return None
     backend = get_backend()
@@ -342,36 +432,6 @@ def fractional_cover_bound(
 # ----------------------------------------------------------------------
 # Fooling sets: greedy seed, then exact maximum independent set
 # ----------------------------------------------------------------------
-
-
-def _greedy_fooling_size(allow: list[int], n_cols: int, uncovered: int) -> int:
-    """Greedy fooling set over the uncovered cells of ``allow``.
-
-    Row-major scan keeping every cell compatible with all kept cells;
-    two cells conflict (cannot both be kept) iff they fit in a common
-    all-ones rectangle of ``allow``: ``allow[i] ∋ j'`` and
-    ``allow[i'] ∋ j``.
-    """
-    kept_in_row = [0] * len(allow)
-    kept_rows = 0
-    size = 0
-    for bit in iter_bits(uncovered):
-        i, j = divmod(bit, n_cols)
-        row_i = allow[i]
-        col_rows = kept_rows
-        conflict = False
-        while col_rows:
-            low = col_rows & -col_rows
-            i2 = low.bit_length() - 1
-            col_rows ^= low
-            if (allow[i2] >> j) & 1 and kept_in_row[i2] & row_i:
-                conflict = True
-                break
-        if not conflict:
-            kept_in_row[i] |= 1 << j
-            kept_rows |= 1 << i
-            size += 1
-    return size
 
 
 def _max_fooling_size(
@@ -450,15 +510,14 @@ def maximum_fooling_bound(
     2
     """
     pm = matrix_from_spec(matrix)
-    allow = list(pm.row_masks)
     uncovered = pm.cells_mask()
     if not uncovered:
         return 0
-    greedy = _greedy_fooling_size(allow, pm.n_cols, uncovered)
+    greedy = fooling_set_bound(pm)
     if uncovered.bit_count() > cell_limit:
         return greedy
     exact, _ = _max_fooling_size(
-        allow, pm.n_cols, uncovered, seed=greedy, node_limit=node_limit
+        list(pm.row_masks), pm.n_cols, uncovered, seed=greedy, node_limit=node_limit
     )
     return exact
 
@@ -468,19 +527,45 @@ def maximum_fooling_bound(
 # ----------------------------------------------------------------------
 
 
+def _greedy_masks(pm: PackedMatrix) -> list[MaskRect]:
+    """The greedy disjoint cover as mask rectangles (the packed hot loop).
+
+    Seeds are the smallest uncovered cell in row-major order; each step
+    keeps the larger of the row-first and column-first growths.
+    """
+    n_rows = pm.n_rows
+    allow = list(pm.row_masks)
+    cover: list[MaskRect] = []
+    while True:
+        i0 = next((i for i in range(n_rows) if allow[i]), None)
+        if i0 is None:
+            break
+        j0 = (allow[i0] & -allow[i0]).bit_length() - 1
+        best = _grow_masks(allow, i0, j0, False)
+        other = _grow_masks(allow, i0, j0, True)
+        if other[0].bit_count() * other[1].bit_count() > best[0].bit_count() * best[1].bit_count():
+            best = other
+        cover.append(best)
+        not_cols = ~best[1]
+        for i in iter_bits(best[0]):
+            allow[i] &= not_cols
+    return cover
+
+
 def _greedy_disjoint_incumbent(pm: PackedMatrix) -> list[MaskRect]:
     """The better of the row- and column-orientation greedy covers."""
-    from repro.comm.covers import _greedy_masks
-
     best = _greedy_masks(pm)
     flipped = [(rows, cols) for cols, rows in _greedy_masks(pm.transpose())]
     return flipped if len(flipped) < len(best) else best
 
 
 def _greedy_overlapping_incumbent(pm: PackedMatrix) -> list[MaskRect]:
-    """The greedy overlapping cover, at the mask level."""
-    from repro.comm.covers import _grow_masks
+    """The greedy overlapping cover, at the mask level.
 
+    Grows around the smallest uncovered cell within the (static)
+    1-entries, so rectangles may reuse covered cells, and keeps the
+    growth that covers more fresh cells.
+    """
     n_cols = pm.n_cols
     allow = list(pm.row_masks)  # growth may reuse covered cells
     uncovered = pm.cells_mask()
@@ -505,13 +590,6 @@ def _greedy_overlapping_incumbent(pm: PackedMatrix) -> list[MaskRect]:
 # ----------------------------------------------------------------------
 
 
-def _rects_out(cover: list[MaskRect]) -> tuple[Rect, ...]:
-    return tuple(
-        (frozenset(iter_bits(rows)), frozenset(iter_bits(cols)))
-        for rows, cols in cover
-    )
-
-
 def solve_cover(
     matrix: "CommMatrix | PackedMatrix | Sequence[Sequence[int]] | str",
     mode: str = "disjoint",
@@ -523,17 +601,35 @@ def solve_cover(
     fooling_cell_limit: int = DEFAULT_FOOLING_CELL_LIMIT,
     fooling_node_limit: int = DEFAULT_FOOLING_NODE_LIMIT,
 ) -> CoverResult:
-    """Exact minimum rectangle cover of the 1-entries, with certificates.
+    """Minimum rectangle cover of the 1-entries, with certificates.
 
-    ``mode="disjoint"`` computes the partition number (pairwise disjoint
+    ``mode="disjoint"`` targets the partition number (pairwise disjoint
     rectangles — Proposition 16's quantity); ``mode="cover"`` the
     nondeterministic 1-cover number (overlaps allowed; the rank bounds
     do *not* apply and are not used).
 
-    The search is exact: the returned :class:`CoverResult` is a true
-    minimum whenever it terminates within ``node_budget``, and
-    ``optimal`` additionally records whether a matching lower bound
-    *certifies* it.  On budget exhaustion
+    A result whose ``size`` some root bound in ``bounds`` matches is a
+    true minimum; every result with ``nodes_expanded == 0`` is one.  A
+    result the search closes is the best cover built from the rectangles
+    it branches on, the maximal rectangles through each branch cell.  In
+    cover mode they are maximal in the whole matrix, which loses no
+    optimum.  In disjoint mode they are maximal in the residual, which
+    can: on ::
+
+        1 0 0 1 1
+        1 1 0 1 0
+        1 0 0 1 0
+        1 1 1 0 0
+        1 1 1 0 1
+
+    the search returns 5 rectangles with ``optimal`` set, although
+    ``{0,2}×{0,3}``, ``{0,4}×{4}``, ``{1}×{0,1,3}`` and ``{3,4}×{0,1,2}``
+    partition the 1-entries into 4.  Unless a root bound matches it, such
+    a ``size`` is an upper bound, and its ``lower_bound`` is not proven.
+
+    ``node_budget`` bounds the search's work: each ``search()`` entry and
+    each rectangle the enumerator lists cost one unit, and
+    ``nodes_expanded`` counts the entries alone.  On budget exhaustion
     :class:`~repro.errors.CoverBudgetExceeded` is raised carrying the
     best cover found so far, verified before it is handed out.  A
     non-positive ``node_budget`` raises immediately with the greedy
@@ -569,11 +665,10 @@ def solve_cover(
         _greedy_disjoint_incumbent(pm) if disjoint else _greedy_overlapping_incumbent(pm)
     )
     best = list(incumbent)
-    nodes = 0
+    nodes = 0  # search() entries
+    work = 0  # search() entries plus enumerated rectangles, against node_budget
 
     def budget_error() -> CoverBudgetExceeded:
-        from repro.comm.covers import verify_disjoint_cover
-
         cover_out = _rects_out(best)
         covered = 0
         for rows, cols in best:
@@ -609,14 +704,12 @@ def solve_cover(
     allow_full = list(pm.row_masks)
 
     if lower < len(best):
-        bounds["fooling_greedy"] = _greedy_fooling_size(allow_full, n_cols, ones_cells)
+        bounds["fooling_greedy"] = fooling_set_bound(pm)
         lower = max(lower, bounds["fooling_greedy"])
     if disjoint and lower < len(best):
         bounds["rank_gf2"] = backend.gf2_rank(pm.row_masks, n_cols)
         lower = max(lower, bounds["rank_gf2"])
     if disjoint and lower < len(best):
-        from repro.comm.rank import rank_over_q
-
         bounds["rank_q"] = rank_over_q(pm)
         lower = max(lower, bounds["rank_q"])
     if lower < len(best) and ones_count <= fooling_cell_limit:
@@ -655,8 +748,6 @@ def solve_cover(
         )
 
     # -- branch and bound on the uncovered-cell bitmask ----------------
-    from repro.comm.covers import _maximal_masks
-
     visited: dict[int, int] = {}
     chosen: list[MaskRect] = []
     rect_cache: dict[tuple[int, int], list[tuple[MaskRect, int]]] = {}
@@ -674,11 +765,20 @@ def solve_cover(
                 best_score, best_cell = score, (i, j)
         return best_cell
 
+    def candidates_at(allow: list[int], i0: int, j0: int) -> list[tuple[MaskRect, int]]:
+        nonlocal work
+        rects = _maximal_masks_at(allow, i0, j0, node_budget - work)
+        if rects is None:
+            raise budget_error()
+        work += len(rects)
+        return [(rect, cells_of_rect(rect[0], rect[1], n_cols)) for rect in rects]
+
     def search(uncovered: int, depth: int) -> None:
-        nonlocal best, nodes
-        if nodes >= node_budget:
+        nonlocal best, nodes, work
+        if work >= node_budget:
             raise budget_error()
         nodes += 1
+        work += 1
         if not uncovered:
             if depth < len(best):
                 best = list(chosen)
@@ -697,19 +797,11 @@ def solve_cover(
             return
         i0, j0 = branch_cell(uncovered, residual)
         if disjoint:
-            candidates = [
-                (rect, cells_of_rect(rect[0], rect[1], n_cols))
-                for rect in _maximal_masks(residual, i0, j0)
-            ]
+            candidates = candidates_at(residual, i0, j0)
         else:
-            cached = rect_cache.get((i0, j0))
-            if cached is None:
-                cached = [
-                    (rect, cells_of_rect(rect[0], rect[1], n_cols))
-                    for rect in _maximal_masks(allow_full, i0, j0)
-                ]
-                rect_cache[(i0, j0)] = cached
-            candidates = cached
+            candidates = rect_cache.get((i0, j0))
+            if candidates is None:
+                candidates = rect_cache[(i0, j0)] = candidates_at(allow_full, i0, j0)
         candidates = sorted(
             candidates,
             key=lambda rc: (rc[1] & uncovered).bit_count(),
@@ -722,7 +814,7 @@ def solve_cover(
 
     search(ones_cells, 0)
     size = len(best)
-    lower = max(lower, size)  # the search proved no smaller cover exists
+    lower = max(lower, size)  # no smaller cover among the searched candidates
     return CoverResult(
         mode=mode,
         cover=_rects_out(best),

@@ -13,7 +13,8 @@ matrices.
 
 from __future__ import annotations
 
-from repro.comm.covers import Rect, rect_cells
+from repro.comm.cover import Rect, _greedy_overlapping_incumbent, _rects_out, solve_cover
+from repro.comm.covers import rect_cells
 from repro.comm.matrix import CommMatrix, intersection_matrix
 from repro.comm.packed import PackedMatrix, as_packed
 from repro.util.tables import approx_log2
@@ -78,29 +79,7 @@ def greedy_overlapping_cover(matrix: "CommMatrix | PackedMatrix") -> list[Rect]:
     bitmasks: growth is restricted to the (static) 1-entries while the
     progress metric counts freshly covered cells by popcount.
     """
-    from repro.comm.covers import _grow_masks, _rect_from_masks
-    from repro.comm.packed import cells_of_rect, iter_bits
-
-    pm = as_packed(matrix)
-    n_rows, n_cols = pm.shape
-    allow = list(pm.row_masks)  # growth may reuse covered cells: keep static
-    uncovered = pm.cells_mask()
-    cover: list[Rect] = []
-    while uncovered:
-        low_bit = (uncovered & -uncovered).bit_length() - 1
-        i0, j0 = divmod(low_bit, n_cols)
-        best_rect = None
-        best_gain = -1
-        for column_first in (False, True):
-            rows, cols = _grow_masks(allow, i0, j0, column_first)
-            gain = (cells_of_rect(rows, cols, n_cols) & uncovered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_rect = (rows, cols)
-        rows, cols = best_rect
-        cover.append(_rect_from_masks(rows, cols))
-        uncovered &= ~cells_of_rect(rows, cols, n_cols)
-    return cover
+    return list(_rects_out(_greedy_overlapping_incumbent(as_packed(matrix))))
 
 
 def minimum_overlapping_cover(
@@ -119,8 +98,6 @@ def minimum_overlapping_cover(
     >>> len(minimum_overlapping_cover(intersection_matrix(3)))
     3
     """
-    from repro.comm.cover import solve_cover
-
     result = solve_cover(matrix, mode="cover", node_budget=node_budget)
     return list(result.cover)
 

@@ -144,7 +144,7 @@ class DiskCache:
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()
             entry = json.loads(text)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             self._count(hit=False)
             return None
         if not isinstance(entry, dict) or "result" not in entry:

@@ -311,6 +311,7 @@ def discrepancy_job(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
         "repro.comm.rank",
         "repro.comm.matrix",
         "repro.comm.packed",
+        "repro.comm.cover",
         "repro.comm.covers",
         "repro.comm.fooling",
     ),
@@ -342,7 +343,7 @@ def rank_job(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# The exact cover solver (branch-and-price, arbitrary 0/1 matrices)
+# The cover solver (branch-and-price, arbitrary 0/1 matrices)
 # ----------------------------------------------------------------------
 
 
@@ -352,7 +353,7 @@ def rank_job(params: dict[str, Any], deps: list[Any]) -> dict[str, Any]:
     defaults={"mode": "disjoint", "node_budget": 2_000_000},
     source_modules=(
         "repro.comm.cover",
-        "repro.comm.covers",
+        "repro.comm.fooling",
         "repro.comm.matrix",
         "repro.comm.packed",
         "repro.comm.rank",

@@ -106,12 +106,14 @@ class RectangleError(ReproError):
 
 
 class CoverBudgetExceeded(RectangleError):
-    """An exact cover search ran out of its node budget.
+    """A cover search ran out of its node budget.
 
     Unlike a bare failure, the search progress survives: ``best_cover``
     is the best *valid* cover found before exhaustion (at worst the
     greedy cover the search started from — never ``None``) and
-    ``nodes_expanded`` the number of search nodes visited.  Callers may
+    ``nodes_expanded`` the number of search nodes visited
+    (:func:`repro.comm.cover.solve_cover` also charges each rectangle it
+    enumerates to the budget, so this can be far below it).  Callers may
     use ``best_cover`` as a verified upper bound even though minimality
     was not established.
 

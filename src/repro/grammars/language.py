@@ -53,6 +53,8 @@ def languages_by_nonterminal(
     parse tree are omitted.  Raises :class:`InfiniteLanguageError` if the
     language is infinite or if an intermediate language exceeds
     ``max_words`` (a safety valve — Example 4 grammars explode quickly).
+    Each set is checked while it grows, so none holds much more than
+    ``2 * max_words`` words.
     """
     require_finite_language(grammar, "languages_by_nonterminal")
     g = trim(grammar)
@@ -63,11 +65,21 @@ def languages_by_nonterminal(
             partial: set[str] = {""}
             for sym in rule.rhs:
                 pieces = (sym,) if g.is_terminal(sym) else langs[sym]
-                partial = {w + p for w in partial for p in pieces}
-                if len(partial) > max_words:
-                    raise InfiniteLanguageError(
-                        f"language of {nt!r} exceeds max_words={max_words}"
-                    )
+                # Grow in chunks along the longer side, one element of
+                # the shorter side at a time: each chunk holds at most
+                # max_words words, and the loop stays short.
+                if len(partial) <= len(pieces):
+                    chunks = ([w + p for p in pieces] for w in partial)
+                else:
+                    chunks = ([w + p for w in partial] for p in pieces)
+                grown: set[str] = set()
+                for chunk in chunks:
+                    grown.update(chunk)
+                    if len(grown) > max_words:
+                        raise InfiniteLanguageError(
+                            f"language of {nt!r} exceeds max_words={max_words}"
+                        )
+                partial = grown
             words |= partial
             if len(words) > max_words:
                 raise InfiniteLanguageError(f"language of {nt!r} exceeds max_words={max_words}")

@@ -149,10 +149,11 @@ class _Reader:
         return data
 
     def readline(self, deadline: float, limit: int) -> bytes:
-        """The next line with its newline, or what is left at EOF.
+        """The next line with its newline; ``b""`` at EOF between lines.
 
         A line longer than ``limit`` comes back as its first ``limit``
-        bytes, which the caller's size check refuses.
+        bytes, which the caller's size check refuses.  EOF inside a line
+        raises ``ConnectionError``: the request was cut off.
         """
         scanned = 0
         while True:
@@ -163,7 +164,9 @@ class _Reader:
                 return self._take(limit)
             scanned = len(self._buf)
             if not self.fill(deadline):
-                return self._take(len(self._buf))
+                if self._buf:
+                    raise ConnectionError("connection closed in the middle of a line")
+                return b""
 
     def read(self, size: int, deadline: float) -> bytes:
         while len(self._buf) < size:
@@ -190,8 +193,10 @@ def _read_request(reader: _Reader, max_body: int, deadline: float) -> HttpReques
         total += len(header)
         if total > _MAX_HEADER_BYTES:
             raise _BadRequest(431, "request headers too large")
-        if header in (b"\r\n", b"\n", b""):
+        if header in (b"\r\n", b"\n"):
             break
+        if not header:
+            raise ConnectionError("connection closed before the end of the headers")
         name, sep, value = header.decode("latin-1").partition(":")
         if not sep:
             raise _BadRequest(400, f"malformed header line: {header!r}")

@@ -9,10 +9,21 @@ mirroring ``tests/legacy_parsers.py``: do not refactor them onto the
 packed representation, that would make the cross-check circular.
 
 This module is the one copy of these oracles; nothing under ``src/``
-imports or repeats them.  The two exact-cover oracles
+imports or repeats them.  The two branch-and-bound cover oracles
 (``legacy_minimum_disjoint_cover`` and ``frozen_packed_minimum_cover``)
-branch only on maximal rectangles, as the solver does, so agreeing with
-them does not show that a disjoint cover is minimum.  The all-rectangle
+branch only on rectangles maximal in the residual, as the solver does,
+so they are not exact and agreeing with them does not show that a
+disjoint cover is minimum.  Each of these matrices has a partition of
+size 4 ::
+
+    1 0 0 1 1        1 1 1 0 1
+    1 1 0 1 0        0 1 0 1 0
+    1 0 0 1 0        0 1 0 0 1
+    1 1 1 0 0        1 1 1 1 0
+    1 1 1 0 1        1 0 0 0 1
+
+On the left the solver certifies 5 and both oracles return 4; on the
+right both oracles return 5 and the solver 4.  The all-rectangle
 ``exhaustive_minimum_cover`` in ``tests/test_cover_solver.py`` is the
 oracle that does not share that choice.
 """
@@ -176,7 +187,11 @@ def legacy_greedy_disjoint_cover(matrix: CommMatrix) -> list[Rect]:
 def legacy_minimum_disjoint_cover(
     matrix: CommMatrix, node_budget: int = 2_000_000
 ) -> list[Rect]:
-    """The original branch-and-bound (RuntimeError on budget exhaustion)."""
+    """The original branch-and-bound (RuntimeError on budget exhaustion).
+
+    It branches on residual-maximal rectangles only, so its cover can be
+    larger than the partition number (see the module docstring).
+    """
     ones = frozenset(
         (i, j)
         for i, row in enumerate(matrix.entries)
@@ -373,10 +388,12 @@ def _pk_greedy(row_masks: list[int]) -> list[tuple[int, int]]:
 
 
 def frozen_packed_minimum_cover(matrix, node_budget: int = 2_000_000) -> list[Rect]:
-    """The exact branch-and-bound `minimum_disjoint_cover` ran before the
+    """The branch-and-bound `minimum_disjoint_cover` ran before the
     branch-and-price swap: greedy incumbent, area-only bound, smallest-
-    uncovered-cell branching, visited-state memoization.  Accepts a
-    CommMatrix or PackedMatrix; raises RuntimeError on budget exhaustion.
+    uncovered-cell branching over residual-maximal rectangles, visited-
+    state memoization.  Not exact: its cover can be larger than the
+    partition number (see the module docstring).  Accepts a CommMatrix
+    or PackedMatrix; raises RuntimeError on budget exhaustion.
     """
     if isinstance(matrix, CommMatrix):
         row_masks = []

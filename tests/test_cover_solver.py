@@ -1,4 +1,4 @@
-"""The branch-and-price exact cover solver of :mod:`repro.comm.cover`.
+"""The branch-and-price cover solver of :mod:`repro.comm.cover`.
 
 Three oracle layers, per the frozen-oracle pattern:
 
@@ -43,6 +43,21 @@ def random_entries(rng: random.Random, max_side: int = 6, density: float = 0.6):
     n = rng.randrange(2, max_side + 1)
     m = rng.randrange(2, max_side + 1)
     return [[1 if rng.random() < density else 0 for _ in range(m)] for _ in range(n)]
+
+
+def permuted_intersection(p: int, seed: int) -> list[list[int]]:
+    """``INTERSECT_p`` with its rows, then its columns, shuffled by ``seed``."""
+    entries = intersection_matrix(p).entries
+    rng = random.Random(seed)
+    rows, cols = list(range(2**p)), list(range(2**p))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return [[entries[i][j] for j in cols] for i in rows]
+
+
+def crown(n: int) -> list[list[int]]:
+    """``J_n - I_n``: every maximal rectangle is ``R × (complement of R)``."""
+    return [[int(i != j) for j in range(n)] for i in range(n)]
 
 
 def exhaustive_minimum_cover(entries, disjoint: bool) -> int:
@@ -199,6 +214,21 @@ class TestFrontier:
         assert result.bounds["rank_gf2"] == 2**p - 1
         assert verify_disjoint_cover(matrix_from_spec(f"intersection:{p}"), result.cover)
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("p", [5, 6])
+    def test_permuted_intersection_certified_through_the_job(self, p, seed):
+        # Shuffled rows and columns can defeat the greedy incumbent, so
+        # the search runs; a 2000-unit budget must still certify 2^p - 1.
+        from repro.engine import Engine
+
+        payload = Engine(cache=None).run_one(
+            "comm.cover.solve",
+            {"matrix": permuted_intersection(p, seed), "node_budget": 2000},
+        )
+        assert payload["size"] == 2**p - 1
+        assert payload["optimal"] is True
+        assert payload["lower_bound"] == 2**p - 1
+
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_cover_mode_intersection_needs_exactly_p(self, p):
         # Example 8's asymmetry: p overlapping rectangles suffice while
@@ -263,6 +293,30 @@ class TestBudgetContract:
         err = info.value
         assert err.verified and err.uncovered_cells == 0
         assert verify_overlapping_cover(pm.to_comm(), err.best_cover)
+
+    @pytest.mark.parametrize("budget", [1, 2, 100, 5000])
+    def test_rectangles_count_against_the_budget(self, budget):
+        # The crown's root holds 2^22 maximal rectangles: the budget must
+        # stop the enumeration, and nodes_expanded still counts the one
+        # search() entry, not the units spent.
+        with pytest.raises(CoverBudgetExceeded) as info:
+            solve_cover(crown(24), node_budget=budget)
+        err = info.value
+        assert err.nodes_expanded == 1
+        assert err.verified and err.uncovered_cells == 0
+        assert verify_disjoint_cover(PackedMatrix.from_entries(crown(24)), err.best_cover)
+
+    @pytest.mark.parametrize("budget", [5, 100, 5000])
+    def test_budget_spent_in_a_deeper_enumeration_counts_its_nodes(self, budget):
+        # Behind a 2x2 identity block the two identity cells (one
+        # rectangle each) are branched on first; the third node's
+        # enumeration, in the crown, overflows.
+        entries = [[1, 0] + [0] * 24, [0, 1] + [0] * 24]
+        entries += [[0, 0] + row for row in crown(24)]
+        with pytest.raises(CoverBudgetExceeded) as info:
+            solve_cover(entries, node_budget=budget)
+        assert info.value.nodes_expanded == 3
+        assert info.value.verified
 
     def test_exception_defaults_stay_backwards_compatible(self):
         err = CoverBudgetExceeded("x", best_cover=[], nodes_expanded=3)
@@ -375,6 +429,18 @@ class TestSpecsAndValidation:
             maximal_rectangles_at(matrix, (0, 0), frozenset({(0, 0), (0, -2)}))
         with pytest.raises(ValueError, match=r"\(0, 99\)"):
             maximal_rectangles_at(matrix, (0, 0), frozenset({(0, 0), (0, 99)}))
+
+    def test_no_maximal_rectangle_through_a_cell_outside_allowed(self):
+        from repro.comm import maximal_rectangles_at
+
+        pm = PackedMatrix.from_entries([[0, 1], [1, 1]])
+        ones = frozenset(pm.ones())
+        assert maximal_rectangles_at(pm, (0, 0), ones) == []  # a 0-entry
+        assert maximal_rectangles_at(pm, (1, 0), ones - {(1, 0)}) == []
+        assert sorted(
+            (sorted(rows), sorted(cols))
+            for rows, cols in maximal_rectangles_at(pm, (1, 1), ones)
+        ) == [([0, 1], [1]), ([1], [0, 1])]
 
 
 # ----------------------------------------------------------------------

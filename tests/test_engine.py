@@ -821,6 +821,19 @@ class TestEngineCli:
         )
         assert serial.stdout == second.stdout
 
+    def test_non_utf8_entry_is_recomputed(self, tmp_path):
+        """An entry that is not UTF-8 is a miss: the run recomputes it,
+        exits 0 and rewrites the entry."""
+        argv = ("run", "certificate", "-p", "n=64", "--cache-dir", str(tmp_path))
+        assert self._repro(*argv, cache_dir=str(tmp_path)).returncode == 0
+        (entry,) = (tmp_path / "v1" / "certificate").glob("*.json")
+        expected = json.loads(entry.read_text(encoding="utf-8"))["result"]
+        entry.write_bytes(b"\xff\xfe{bad")
+        again = self._repro(*argv, cache_dir=str(tmp_path))
+        assert again.returncode == 0, again.stderr
+        assert "0 cache hits, 1 misses" in again.stdout
+        assert json.loads(entry.read_text(encoding="utf-8"))["result"] == expected
+
     def test_run_list(self, tmp_path):
         result = self._repro("run", "--list", cache_dir=str(tmp_path))
         assert result.returncode == 0

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.errors import InfiniteLanguageError
@@ -51,6 +57,34 @@ class TestLanguage:
         )
         with pytest.raises(InfiniteLanguageError):
             language(g, max_words=3)
+        assert len(language(g, max_words=8)) == 8  # a language that fits
+        with pytest.raises(InfiniteLanguageError):
+            language(g, max_words=7)
+
+    def test_max_words_checked_while_the_set_grows(self):
+        # Seed 984 has 430,479,505 derivations: building a whole
+        # concatenation before checking the budget runs out of memory.
+        pytest.importorskip("resource")
+        code = textwrap.dedent(
+            f"""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, ({1 << 30}, {1 << 30}))
+            from repro.errors import InfiniteLanguageError
+            from repro.grammars.language import language
+            from repro.grammars.random_grammars import GrammarShape, random_finite_grammar
+            shape = GrammarShape(n_layers=4, nts_per_layer=1, rules_per_nt=2, max_body=4)
+            try:
+                language(random_finite_grammar(984, shape), max_words=100_000)
+            except InfiniteLanguageError:
+                print("typed error")
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "typed error"
 
     def test_iter_language_ordering(self):
         g = grammar_from_mapping("ab", {"S": ["ba", "b", "ab"]}, "S")

@@ -114,6 +114,21 @@ class TestHttpEdges:
         assert status == 431
         assert "too large" in data["error"]
 
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            b"GET /health HTTP/1.1",
+            b"GET /health HTTP/1.1\r\nHost: x",
+            b"GET /health HTTP/1.1\r\nHost: x\r\n",
+        ],
+    )
+    def test_request_cut_off_before_its_blank_line_is_not_run(self, server, cut):
+        """EOF inside the request head closes the connection unanswered."""
+        with _connect(server) as sock:
+            sock.sendall(cut)
+            sock.shutdown(socket.SHUT_WR)
+            assert sock.recv(65536) == b""
+
     def test_stalled_client_is_closed_while_others_are_served(self, server):
         """Half a request, then bytes trickling in: the whole request must
         arrive within ``keepalive_idle_s``, and nobody else waits for it."""
