@@ -36,6 +36,7 @@ from repro.errors import (
     GrammarError,
     InfiniteAmbiguityError,
     InfiniteLanguageError,
+    LanguageTooLargeError,
     MixedLengthLanguageError,
     NotInChomskyNormalFormError,
     NotInLanguageError,
@@ -53,6 +54,7 @@ __all__ = [
     "GrammarError",
     "NotInLanguageError",
     "InfiniteLanguageError",
+    "LanguageTooLargeError",
     "InfiniteAmbiguityError",
     "NotUnambiguousError",
     "NotInChomskyNormalFormError",

@@ -13,6 +13,7 @@ from collections.abc import Iterable
 
 from repro.automata.dfa import DFA, determinise, minimise
 from repro.automata.nfa import NFA, State
+from repro.automata.packed import PackedNFA, packed_is_unambiguous, packed_layered_minimal
 from repro.errors import AutomatonError
 from repro.grammars.cfg import CFG, NonTerminal, Rule
 from repro.words.alphabet import Alphabet
@@ -131,8 +132,6 @@ def is_unambiguous_nfa(nfa: NFA) -> bool:
     — pair states packed at bit ``p·|Q|+q`` of big-int masks, so both
     reachability passes are shift-OR fixpoints with no tuple sets.
     """
-    from repro.automata.packed import PackedNFA, packed_is_unambiguous
-
     return packed_is_unambiguous(PackedNFA.from_nfa(nfa))
 
 
@@ -164,25 +163,82 @@ def nfa_to_right_linear_cfg(nfa: NFA) -> CFG:
     return CFG(nfa.alphabet, nts, rules, start)
 
 
+def _layered_trie(
+    words: Iterable[str], alphabet: Alphabet
+) -> tuple[list[list[list[int]]], list[list[bool]]]:
+    """The trie of ``words`` as int tables layered by depth.
+
+    Returns ``(succ, final)`` in the layout of
+    :func:`~repro.automata.packed.packed_layered_minimal`: layer ``t``
+    holds the depth-``t`` nodes, numbered in the lexicographic order of
+    their prefixes.  The words are inserted in sorted order, so each one
+    shares its longest common prefix with the one before and only
+    creates the nodes below it.
+    """
+    index = {symbol: s for s, symbol in enumerate(alphabet)}
+    succ: list[list[list[int]]] = [[[-1] for _ in index]]
+    final: list[list[bool]] = [[False]]
+    path = [0]  # path[d]: the current word's node at depth d
+    previous = ""
+    for word in sorted(set(words)):
+        # Binary search for the shared prefix: O(log) string compares.
+        shared, limit = 0, min(len(word), len(previous))
+        while shared < limit:
+            mid = (shared + limit + 1) // 2
+            if word.startswith(previous[shared:mid], shared):
+                shared = mid
+            else:
+                limit = mid - 1
+        del path[shared + 1 :]
+        for depth in range(shared, len(word)):
+            s = index.get(word[depth])
+            if s is None:
+                raise AutomatonError(
+                    f"word {word!r} uses symbol {word[depth]!r} outside the alphabet"
+                )
+            if depth + 1 == len(final):
+                succ.append([[] for _ in index])
+                final.append([])
+            child = len(final[depth + 1])
+            final[depth + 1].append(False)
+            for row in succ[depth + 1]:
+                row.append(-1)
+            succ[depth][s][path[depth]] = child
+            path.append(child)
+        final[len(word)][path[-1]] = True
+        previous = word
+    return succ[:-1], final
+
+
 def dfa_from_finite_language(words: Iterable[str], alphabet: Alphabet) -> DFA:
-    """Build the trie-shaped (partial) DFA accepting exactly ``words``."""
-    word_list = sorted(set(words))
-    for word in word_list:
-        for ch in word:
-            if ch not in alphabet:
-                raise AutomatonError(f"word {word!r} uses symbol {ch!r} outside the alphabet")
-    states: set[State] = {""}
+    """Build the trie-shaped (partial) DFA accepting exactly ``words``.
+
+    Its states are the prefixes of the words, ``""`` initial.
+    """
+    succ, final = _layered_trie(words, alphabet)
+    labels = [""]
+    states = {""}
     delta: dict[tuple[State, str], State] = {}
-    accepting: set[State] = set()
-    for word in word_list:
-        for i in range(len(word)):
-            prefix, longer = word[:i], word[: i + 1]
-            states.add(longer)
-            delta[(prefix, word[i])] = longer
-        accepting.add(word)
+    accepting = {""} if final[0][0] else set()
+    for rows, below_final in zip(succ, final[1:]):
+        below = [""] * len(below_final)
+        for symbol, row in zip(alphabet, rows):
+            for k, child in enumerate(row):
+                if child >= 0:
+                    below[child] = delta[(labels[k], symbol)] = labels[k] + symbol
+        states.update(below)
+        accepting.update(label for label, is_final in zip(below, below_final) if is_final)
+        labels = below
     return DFA(alphabet, states, delta, "", accepting)
 
 
 def minimal_dfa_of_finite_language(words: Iterable[str], alphabet: Alphabet) -> DFA:
-    """The minimal complete DFA of a finite language (trie + minimise)."""
-    return minimise(dfa_from_finite_language(words, alphabet))
+    """The minimal complete DFA of a finite language.
+
+    The trie of the words, layered by depth, minimised by signature
+    hashing (:func:`~repro.automata.packed.packed_layered_minimal`) in
+    time and memory linear in the trie.  States are ``0..k-1`` in the
+    canonical numbering of :func:`~repro.automata.dfa.minimise`, so the
+    result equals ``minimise(dfa_from_finite_language(words, alphabet))``.
+    """
+    return packed_layered_minimal(alphabet, *_layered_trie(words, alphabet)).to_dfa()

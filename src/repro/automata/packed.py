@@ -59,6 +59,7 @@ __all__ = [
     "chunked_step_fn",
     "packed_determinise",
     "packed_minimise",
+    "packed_layered_minimal",
     "packed_fixed_length_minimal",
     "packed_is_unambiguous",
     "transfer_counts",
@@ -591,8 +592,64 @@ def packed_minimise(pdfa: PackedDFA) -> PackedDFA:
 
 
 # ----------------------------------------------------------------------
-# Kernel 2b: layered minimal DFA of a fixed-length language
+# Kernel 2b: minimal DFAs of layered acyclic automata
 # ----------------------------------------------------------------------
+
+
+def packed_layered_minimal(
+    alphabet: Alphabet,
+    succ: Sequence[Sequence[Sequence[int]]],
+    final: Sequence[Sequence[bool]],
+) -> PackedDFA:
+    """The minimal complete DFA of a layered acyclic DFA, by signature hashing.
+
+    Layer ``t`` holds the states ``0..len(final[t]) - 1``, and layer 0
+    holds just the initial state.  ``final[t][k]`` says whether state
+    ``k`` of layer ``t`` accepts, and ``succ[t][s][k]`` is the index in
+    layer ``t + 1`` of its ``σ_s``-successor, or ``-1`` where undefined.
+    ``succ`` has one entry fewer than ``final``: the last layer has no
+    successors.
+
+    This is Revuz's linear-time minimisation of acyclic DFAs.  From the
+    last layer up, each state's signature (its successors' classes and
+    its finality) is hashed into a class, so two states share a class
+    iff they have the same right language.  One table serves all layers,
+    so states of different depths merge when their right languages
+    agree: after ``ab`` and after ``aab`` in ``{ab, aab}``.  Class 0 is
+    the sink.  The classes reachable from the initial state's are then
+    numbered by BFS, the canonical numbering of :func:`packed_minimise`,
+    so the result is ``to_key()``-equal to Hopcroft's on the same
+    automaton.  No step looks at more than one layer's tables at once.
+
+    >>> from repro.words import AB
+    >>> succ = [[[0], [0]], [[0], [0]]]  # {aa, ab, ba, bb}: one state per layer
+    >>> dfa = packed_layered_minimal(AB, succ, [[False], [False], [True]])
+    >>> dfa.n_states, dfa.accepting_mask  # the three layers and the sink
+    (4, 4)
+    """
+    n_symbols = len(alphabet)
+    sink = 0
+    class_of: dict[tuple, int] = {(sink,) * n_symbols + (False,): sink}
+    class_succ: list[tuple] = [(sink,) * n_symbols]
+    class_final = [False]
+    classes: list[int] = []
+    for t in range(len(final) - 1, -1, -1):
+        if t < len(succ):
+            mapped = [[classes[k] if k >= 0 else sink for k in row] for row in succ[t]]
+        else:
+            mapped = [[sink] * len(final[t])] * n_symbols
+        classes = []
+        for signature in zip(*mapped, final[t]):
+            cls = class_of.get(signature)
+            if cls is None:
+                cls = class_of[signature] = len(class_succ)
+                class_succ.append(signature[:-1])
+                class_final.append(signature[-1])
+            classes.append(cls)
+    order, relabel = _bfs_order(classes[0], class_succ)
+    tables = [[relabel[class_succ[cls][s]] for cls in order] for s in range(n_symbols)]
+    accepting = mask_of(relabel[cls] for cls in order if class_final[cls])
+    return PackedDFA(alphabet, len(order), tables, 0, accepting)
 
 
 def _coaccessible(pre: Sequence[Sequence[int]], accepting_mask: int) -> int:
@@ -651,7 +708,7 @@ def packed_fixed_length_minimal(pnfa: PackedNFA, length: int) -> tuple[PackedDFA
     Returns ``(dfa, macro_states)``: ``dfa`` is ``to_key()``-equal to
     ``packed_minimise(packed_determinise(pnfa))``, and ``macro_states``
     counts the macro-states the construction built (the empty one
-    included).  Four steps:
+    included).  Three steps:
 
     1. trim to useful states and split them into phase layers
        (:func:`_phase_graded_layers` raises :class:`AutomatonError` if
@@ -666,10 +723,9 @@ def packed_fixed_length_minimal(pnfa: PackedNFA, length: int) -> tuple[PackedDFA
        to the layer's universal mask — this is where the subset
        construction's redundancy goes (a row pair that already matched,
        say, no longer cares about the rest of the document);
-    3. one backward pass of per-layer signature hashing (Revuz's
-       linear-time minimisation of acyclic DFAs): two macro-states of
-       one layer are equivalent iff their successor classes agree;
-    4. the canonical BFS relabelling of :func:`packed_minimise`.
+    3. :func:`packed_layered_minimal` on the layered macro-states:
+       one backward pass of signature hashing (Revuz), then the
+       canonical BFS relabelling of :func:`packed_minimise`.
 
     No partition refinement runs, and no step ever touches a mask wider
     than one layer.
@@ -746,27 +802,10 @@ def packed_fixed_length_minimal(pnfa: PackedNFA, length: int) -> tuple[PackedDFA
         macros.append(found)
         succ.append(rows_t)
 
-    # Backward: class 0 is the sink, class 1 the accepting phase-`length`
-    # residual {ε} (every final macro-state, all universal).  A class's
-    # entry in class_succ is its successor-class signature.
-    sink, final = 0, 1
-    class_succ: list[tuple[int, ...]] = [(sink,) * n_symbols, (sink,) * n_symbols]
-    classes = [final] * len(macros[length])
-    for t in range(length - 1, -1, -1):
-        mapped = [[classes[k] if k >= 0 else sink for k in row] for row in succ[t]]
-        class_of: dict[tuple[int, ...], int] = {}
-        classes = []
-        for signature in zip(*mapped):
-            cls = class_of.get(signature)
-            if cls is None:
-                cls = class_of[signature] = len(class_succ)
-                class_succ.append(signature)
-            classes.append(cls)
-
-    order, relabel = _bfs_order(classes[0], class_succ)
-    out_tables = [[relabel[class_succ[cls][s]] for cls in order] for s in range(n_symbols)]
+    final = [[False] * len(layer_macros) for layer_macros in macros]
+    final[length] = [True] * len(macros[length])
     built = sum(len(layer_macros) for layer_macros in macros) + 1
-    return PackedDFA(pnfa.alphabet, len(order), out_tables, 0, 1 << relabel[final]), built
+    return packed_layered_minimal(pnfa.alphabet, succ, final), built
 
 
 # ----------------------------------------------------------------------

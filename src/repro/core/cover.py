@@ -32,8 +32,9 @@ from repro.grammars.cfg import CFG, NonTerminal
 from repro.grammars.cnf import to_cnf
 from repro.grammars.cyk import one_parse_tree
 from repro.grammars.indexing import index_by_position, indexed_position
-from repro.grammars.language import _topological_nonterminals, language, languages_by_nonterminal
+from repro.grammars.language import language, languages_by_nonterminal
 from repro.grammars.trees import ParseTree
+from repro.kernel.fold import topological_nonterminals
 
 __all__ = ["ExtractionStep", "RectangleCover", "balanced_rectangle_cover", "context_pairs"]
 
@@ -97,7 +98,7 @@ def context_pairs(
         nt: set() for nt in indexed_grammar.nonterminals
     }
     contexts[indexed_grammar.start].add(("", ""))
-    for nt in reversed(_topological_nonterminals(indexed_grammar)):
+    for nt in reversed(topological_nonterminals(indexed_grammar)):
         own = contexts[nt]
         if not own:
             continue

@@ -14,6 +14,7 @@ __all__ = [
     "GrammarError",
     "NotInLanguageError",
     "InfiniteLanguageError",
+    "LanguageTooLargeError",
     "InfiniteAmbiguityError",
     "NotUnambiguousError",
     "NotInChomskyNormalFormError",
@@ -55,6 +56,16 @@ class InfiniteLanguageError(ReproError):
     The paper (Section 2) only deals with finite languages; enumeration,
     exact counting and ambiguity checking in this library insist on
     finiteness and raise this error otherwise.
+    """
+
+
+class LanguageTooLargeError(InfiniteLanguageError):
+    """A finite language has more words than an enumeration budget allows.
+
+    Raised when a language (or one non-terminal's language) would exceed
+    ``max_words``.  It subclasses :class:`InfiniteLanguageError`, so every
+    caller that treats "cannot enumerate" as one case keeps working, while
+    the type says the language is finite, only too large.
     """
 
 

@@ -71,6 +71,7 @@ from repro.grammars.language import (
     language,
     languages_by_nonterminal,
     same_language,
+    word_counts_by_nonterminal,
     words_by_length,
 )
 from repro.grammars.lexorder import LexRankedLanguage
@@ -115,6 +116,7 @@ __all__ = [
     "language",
     "iter_language",
     "languages_by_nonterminal",
+    "word_counts_by_nonterminal",
     "count_words",
     "count_derivations",
     "derivations_by_length",

@@ -1,27 +1,29 @@
 """Deciding (un)ambiguity of finite-language grammars.
 
 Ambiguity of general CFGs is undecidable, but the paper works exclusively
-with finite languages, where it is decidable by brute force: enumerate the
-language and count the parse trees of every word.  A grammar is
-*unambiguous* iff every word of its language has exactly one parse tree
-(Section 2).
+with finite languages, where it is decidable.  A grammar is *unambiguous*
+iff every word of its language has exactly one parse tree (Section 2).
 
-The counting runs on the original grammar (no normal-form conversion), so
-witnesses like Figure 1's two parse trees of ``aaaaaa`` under the
-Example 3 grammar come out verbatim.  Each word is parsed exactly once:
-the packed-forest chart built to count trees is the same chart the
-witness trees are enumerated from.
+One grammar fold over the word-count semiring
+(:func:`repro.grammars.language.word_counts_by_nonterminal`) yields every
+word of ``L(G)`` together with its number of parse trees.  The profile,
+the decision, the maximum and the least ambiguous word all read that one
+table, so no word is parsed to decide ambiguity.
+
+Only :func:`ambiguity_witness` parses, and only the one witness word: it
+builds that word's packed forest on the original grammar (no
+normal-form conversion), so witnesses like Figure 1's two parse trees of
+``aaaaaa`` under the Example 3 grammar come out verbatim.
 """
 
 from __future__ import annotations
 
 from repro.errors import NotUnambiguousError
-from repro.grammars.generic import GenericParser
-from repro.grammars.language import language
 from repro.grammars.cfg import CFG
+from repro.grammars.generic import GenericParser
+from repro.grammars.language import word_counts_by_nonterminal
 from repro.grammars.trees import ParseTree
 from repro.kernel.forest import FOREST
-from repro.kernel.semiring import COUNTING
 
 __all__ = [
     "ambiguity_profile",
@@ -37,10 +39,10 @@ def ambiguity_profile(grammar: CFG) -> dict[str, int]:
     """Return ``{word: number of parse trees}`` over the whole language.
 
     Every count is ≥ 1 by construction; a count ≥ 2 witnesses ambiguity.
-    One counting chart is built per word and serves its single count query.
+    The start symbol's entry of the word-count fold, so the language
+    budget of :func:`~repro.grammars.language.language` applies.
     """
-    parser = GenericParser(grammar)
-    return {word: parser.chart(word, COUNTING).value() for word in language(grammar)}
+    return dict(word_counts_by_nonterminal(grammar).get(grammar.start, {}))
 
 
 def is_unambiguous(grammar: CFG) -> bool:
@@ -51,8 +53,7 @@ def is_unambiguous(grammar: CFG) -> bool:
     >>> is_unambiguous(ambiguous)
     False
     """
-    parser = GenericParser(grammar)
-    return all(parser.chart(word, COUNTING).value() == 1 for word in language(grammar))
+    return max_ambiguity(grammar) <= 1
 
 
 def require_unambiguous(grammar: CFG, operation: str) -> None:
@@ -65,32 +66,15 @@ def require_unambiguous(grammar: CFG, operation: str) -> None:
         )
 
 
-def _first_ambiguous_forest(grammar: CFG):
-    """``(word, forest)`` for the first ambiguous word, or ``None``.
-
-    One forest chart per word answers both the count and — for the
-    witness — the tree enumeration, so no word is ever parsed twice.
-    """
-    parser = GenericParser(grammar)
-    for word in sorted(language(grammar), key=lambda w: (len(w), w)):
-        forest = parser.chart(word, FOREST).value()
-        if forest.count() >= 2:
-            return word, forest
-    return None
-
-
 def find_ambiguous_word(grammar: CFG) -> str | None:
     """Return some word with ≥ 2 parse trees, or ``None`` if unambiguous.
 
-    Words are tried shortest-first (then lexicographically), so the
-    returned witness is the length-lex least ambiguous word.  The search
-    is exhaustive and terminates because the grammar has a finite
-    language: it is bounded by the longest derivable word — equivalently
-    ``max(derivable_lengths(grammar))`` — after which no witness can
-    exist, so ``None`` is a proof of unambiguity, not a timeout.
+    The returned witness is the length-lex least ambiguous word (shortest
+    first, then lexicographically).  The profile covers the whole finite
+    language, so ``None`` is a proof of unambiguity, not a timeout.
     """
-    found = _first_ambiguous_forest(grammar)
-    return None if found is None else found[0]
+    ambiguous = (word for word, count in ambiguity_profile(grammar).items() if count >= 2)
+    return min(ambiguous, key=lambda w: (len(w), w), default=None)
 
 
 def ambiguity_witness(grammar: CFG) -> tuple[str, ParseTree, ParseTree] | None:
@@ -99,26 +83,19 @@ def ambiguity_witness(grammar: CFG) -> tuple[str, ParseTree, ParseTree] | None:
     This reproduces Figure 1 of the paper programmatically: applied to the
     Example 3 grammar it yields a word together with two structurally
     different parse trees.  Returns ``None`` for unambiguous grammars.
-    The two trees come from the same packed forest that established the
-    count, so the witness word is parsed exactly once.
+    The word is :func:`find_ambiguous_word`'s; it is the only word
+    parsed, once, into the packed forest both trees are read from.
     """
-    found = _first_ambiguous_forest(grammar)
-    if found is None:
+    word = find_ambiguous_word(grammar)
+    if word is None:
         return None
-    word, forest = found
-    trees = forest.trees()
-    first = next(trees)
-    second = next(trees)
-    return word, first, second
+    trees = GenericParser(grammar).chart(word, FOREST).value().trees()
+    return word, next(trees), next(trees)
 
 
 def max_ambiguity(grammar: CFG) -> int:
     """Return the largest parse-tree count over all words of the language.
 
-    ``1`` for unambiguous grammars, ``0`` for the empty language.  Like
-    :func:`find_ambiguous_word`, the scan covers the whole (finite)
-    language — every word up to the longest derivable length — with one
-    chart per word.
+    ``1`` for unambiguous grammars, ``0`` for the empty language.
     """
-    profile = ambiguity_profile(grammar)
-    return max(profile.values(), default=0)
+    return max(ambiguity_profile(grammar).values(), default=0)

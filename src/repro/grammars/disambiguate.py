@@ -8,15 +8,19 @@ canonical unambiguous representation of a finite language — its minimal
 acyclic DFA — rendered as a right-linear grammar.  Right-linear grammars
 over a DFA are unambiguous because runs are deterministic.
 
-The pipeline is: enumerate ``L(G)`` (first exponential), build the minimal
-DFA, emit the grammar (worst case another exponential in the DFA size vs
-the original grammar, matching the double-exponential ceiling overall).
+The pipeline is: enumerate ``L(G)`` with one grammar fold (first
+exponential), build its minimal DFA once — the trie of the words,
+layered by depth and minimised by signature hashing in time linear in
+the trie — and emit the grammar (worst case another exponential in the
+DFA size vs the original grammar, matching the double-exponential
+ceiling overall).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.automata.dfa import DFA
 from repro.automata.ops import minimal_dfa_of_finite_language
 from repro.grammars.ambiguity import is_unambiguous
 from repro.grammars.analysis import trim
@@ -55,7 +59,11 @@ def ucfg_of_finite_language(words: frozenset[str] | set[str], alphabet: Alphabet
     >>> is_unambiguous(g)
     True
     """
-    dfa = minimal_dfa_of_finite_language(words, alphabet)
+    return _ucfg_of_dfa(minimal_dfa_of_finite_language(words, alphabet))
+
+
+def _ucfg_of_dfa(dfa: DFA) -> CFG:
+    """The trimmed right-linear grammar of a DFA's runs (unambiguous)."""
     # A fresh start symbol (never on a right-hand side) keeps the grammar
     # unambiguous even when the DFA's initial state is accepting or has
     # incoming transitions.
@@ -70,7 +78,7 @@ def ucfg_of_finite_language(words: frozenset[str] | set[str], alphabet: Alphabet
         rules.append(Rule(start, rule.rhs))
     if dfa.initial in dfa.accepting:
         rules.append(Rule(start, ()))
-    return trim(CFG(alphabet, nts, rules, start))
+    return trim(CFG(dfa.alphabet, nts, rules, start))
 
 
 def disambiguate(grammar: CFG, verify: bool = True) -> tuple[CFG, DisambiguationReport]:
@@ -82,7 +90,7 @@ def disambiguate(grammar: CFG, verify: bool = True) -> tuple[CFG, Disambiguation
     """
     words = language(grammar)
     dfa = minimal_dfa_of_finite_language(words, grammar.alphabet)
-    result = ucfg_of_finite_language(words, grammar.alphabet)
+    result = _ucfg_of_dfa(dfa)
     if verify:
         if not same_language(grammar, result):
             raise AssertionError("disambiguate produced a non-equivalent grammar")

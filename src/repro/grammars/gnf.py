@@ -20,7 +20,7 @@ from repro.errors import GrammarError
 from repro.grammars.analysis import require_finite_language, trim
 from repro.grammars.cfg import CFG, NonTerminal, Rule, Symbol
 from repro.grammars.cnf import to_cnf
-from repro.grammars.language import _topological_nonterminals
+from repro.kernel.fold import topological_nonterminals
 
 __all__ = ["to_gnf", "is_in_gnf"]
 
@@ -74,7 +74,7 @@ def to_gnf(grammar: CFG, max_rules: int = 200_000) -> CFG:
     # every non-terminal that can appear in leading position below A is
     # already in GNF, so one substitution round suffices.
     gnf_rules: dict[NonTerminal, list[tuple[Symbol, ...]]] = {}
-    for nt in _topological_nonterminals(cnf):
+    for nt in topological_nonterminals(cnf):
         bodies: list[tuple[Symbol, ...]] = []
         for rule in cnf.rules_for(nt):
             if len(rule.rhs) == 0:

@@ -1,9 +1,10 @@
 """Finite-language extraction and exact counting.
 
 For a finite language (the only kind the paper considers) the trimmed
-grammar's non-terminal dependency graph is acyclic, so the language of
-every non-terminal can be computed bottom-up in topological order.  This
-module also exposes the two counting notions whose divergence is the
+grammar's non-terminal dependency graph is acyclic, so one grammar fold
+over the word-count semiring computes the language of every
+non-terminal, each word with its number of parse trees.  This module
+also exposes the two counting notions whose divergence is the
 algorithmic heart of the CFG/uCFG contrast:
 
 * :func:`count_derivations` — the number of parse trees from the start
@@ -17,13 +18,13 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.errors import InfiniteLanguageError
 from repro.grammars.analysis import require_finite_language, trim
 from repro.grammars.cfg import CFG, NonTerminal
-from repro.kernel.fold import fold_grammar, topological_nonterminals
-from repro.kernel.semiring import COUNTING, SPECTRUM
+from repro.kernel.fold import fold_grammar
+from repro.kernel.semiring import COUNTING, SPECTRUM, WordCountSemiring
 
 __all__ = [
+    "word_counts_by_nonterminal",
     "languages_by_nonterminal",
     "language",
     "iter_language",
@@ -39,9 +40,22 @@ __all__ = [
 DEFAULT_MAX_WORDS = 5_000_000
 
 
-def _topological_nonterminals(grammar: CFG) -> list[NonTerminal]:
-    """Non-terminals of a trimmed finite-language grammar, dependencies first."""
-    return topological_nonterminals(grammar)
+def word_counts_by_nonterminal(
+    grammar: CFG, max_words: int = DEFAULT_MAX_WORDS
+) -> dict[NonTerminal, dict[str, int]]:
+    """Return ``{A: {w: #parse trees of w from A}}`` for every useful non-terminal.
+
+    One grammar fold over the word-count semiring: each non-terminal's
+    language, with every word's derivation count.  The grammar is trimmed
+    internally; non-terminals that appear in no parse tree are omitted.
+    Raises :class:`InfiniteLanguageError` if the language is infinite,
+    and its subclass :class:`LanguageTooLargeError` if an intermediate
+    language exceeds ``max_words`` (a safety valve — Example 4 grammars
+    explode quickly).  Each language is checked while it grows, so none
+    holds much more than ``2 * max_words`` words.
+    """
+    require_finite_language(grammar, "word_counts_by_nonterminal")
+    return fold_grammar(trim(grammar), WordCountSemiring(max_words))
 
 
 def languages_by_nonterminal(
@@ -49,42 +63,11 @@ def languages_by_nonterminal(
 ) -> dict[NonTerminal, frozenset[str]]:
     """Return ``{A: L(A)}`` for every useful non-terminal.
 
-    The grammar is trimmed internally; non-terminals that appear in no
-    parse tree are omitted.  Raises :class:`InfiniteLanguageError` if the
-    language is infinite or if an intermediate language exceeds
-    ``max_words`` (a safety valve — Example 4 grammars explode quickly).
-    Each set is checked while it grows, so none holds much more than
-    ``2 * max_words`` words.
+    The key sets of :func:`word_counts_by_nonterminal`, with its trimming,
+    budget and errors.
     """
-    require_finite_language(grammar, "languages_by_nonterminal")
-    g = trim(grammar)
-    langs: dict[NonTerminal, frozenset[str]] = {}
-    for nt in _topological_nonterminals(g):
-        words: set[str] = set()
-        for rule in g.rules_for(nt):
-            partial: set[str] = {""}
-            for sym in rule.rhs:
-                pieces = (sym,) if g.is_terminal(sym) else langs[sym]
-                # Grow in chunks along the longer side, one element of
-                # the shorter side at a time: each chunk holds at most
-                # max_words words, and the loop stays short.
-                if len(partial) <= len(pieces):
-                    chunks = ([w + p for p in pieces] for w in partial)
-                else:
-                    chunks = ([w + p for w in partial] for p in pieces)
-                grown: set[str] = set()
-                for chunk in chunks:
-                    grown.update(chunk)
-                    if len(grown) > max_words:
-                        raise InfiniteLanguageError(
-                            f"language of {nt!r} exceeds max_words={max_words}"
-                        )
-                partial = grown
-            words |= partial
-            if len(words) > max_words:
-                raise InfiniteLanguageError(f"language of {nt!r} exceeds max_words={max_words}")
-        langs[nt] = frozenset(words)
-    return langs
+    counts = word_counts_by_nonterminal(grammar, max_words)
+    return {nt: frozenset(words) for nt, words in counts.items()}
 
 
 def language(grammar: CFG, max_words: int = DEFAULT_MAX_WORDS) -> frozenset[str]:
@@ -95,8 +78,7 @@ def language(grammar: CFG, max_words: int = DEFAULT_MAX_WORDS) -> frozenset[str]
     >>> sorted(language(g))
     ['ab', 'ba']
     """
-    langs = languages_by_nonterminal(grammar, max_words)
-    return langs.get(grammar.start, frozenset())
+    return frozenset(word_counts_by_nonterminal(grammar, max_words).get(grammar.start, ()))
 
 
 def iter_language(grammar: CFG, max_words: int = DEFAULT_MAX_WORDS) -> Iterator[str]:

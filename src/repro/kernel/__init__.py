@@ -27,6 +27,7 @@ from repro.kernel.semiring import (
     LengthSpectrumSemiring,
     MinLengthSemiring,
     Semiring,
+    WordCountSemiring,
 )
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "CountingSemiring",
     "MinLengthSemiring",
     "LengthSpectrumSemiring",
+    "WordCountSemiring",
     "ForestSemiring",
     "BOOLEAN",
     "COUNTING",

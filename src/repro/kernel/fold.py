@@ -9,6 +9,8 @@ topological fold ``v(A) = ⊕_{A→W} finish(A→W, ⊗_{X∈W} v(X))``:
   access);
 * length-spectrum semiring — derivation counts by word length (the
   Theorem 1 table rows);
+* word-count semiring — ``L(A)`` itself, each word with its derivation
+  count (language extraction and the ambiguity profile);
 * the uniform-length check — Observation 9's "every non-terminal pins a
   single factor length", consumed by the Lemma 10 indexing transform.
 """

@@ -28,8 +28,10 @@ semiring), no further derivation can change it.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import Any
 
+from repro.errors import LanguageTooLargeError
 from repro.grammars.cfg import Rule
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "CountingSemiring",
     "MinLengthSemiring",
     "LengthSpectrumSemiring",
+    "WordCountSemiring",
     "BOOLEAN",
     "COUNTING",
     "SPECTRUM",
@@ -222,6 +225,92 @@ class LengthSpectrumSemiring(Semiring):
 
     def terminal(self, symbol: str) -> dict[int, int]:
         return {1: 1}
+
+
+class WordCountSemiring(Semiring):
+    """Finite languages with multiplicities: values are ``{word: #derivations}``.
+
+    ``⊗`` concatenates every pair of words and multiplies their counts,
+    ``⊕`` adds counts word by word.  The grammar fold over this semiring
+    gives, per non-terminal, its language as the key set and each word's
+    number of parse trees as the value — one pass serves both language
+    extraction and the ambiguity profile (Section 2).
+
+    ``max_words`` is checked while each value grows: a product is built
+    one word of the smaller factor at a time against the whole larger
+    factor, and raises :class:`~repro.errors.LanguageTooLargeError` as
+    soon as it holds more than ``max_words`` words, so no value ever
+    holds much more than ``2 * max_words``.  A product in which no word
+    can arise twice is checked before it is built.  Values are treated
+    as immutable: ``add``/``mul`` never change their arguments.
+    """
+
+    zero: dict[str, int] = {}
+    one: dict[str, int] = {"": 1}
+
+    def __init__(self, max_words: int) -> None:
+        self.max_words = max_words
+
+    def _check(self, size: int) -> None:
+        if size > self.max_words:
+            raise LanguageTooLargeError(
+                f"a non-terminal's language exceeds max_words={self.max_words}"
+            )
+
+    def _merge(self, into: dict[str, int], counts: dict[str, int]) -> None:
+        """Add ``counts`` into ``into`` word by word, then check the budget."""
+        repeated = {word: into[word] for word in into.keys() & counts.keys()}
+        into.update(counts)
+        for word, count in repeated.items():
+            into[word] += count
+        self._check(len(into))
+
+    def add(self, a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return a
+        out = dict(a)
+        self._merge(out, b)
+        return out
+
+    def mul(self, a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
+        if a == self.one:
+            return b
+        if b == self.one:
+            return a
+        if len(a) <= len(b):
+            chunks = ({w + p: c * d for p, d in b.items()} for w, c in a.items())
+            distinct = _prefix_free(a)
+        else:
+            chunks = ({w + p: c * d for w, c in a.items()} for p, d in b.items())
+            distinct = _prefix_free([p[::-1] for p in b])
+        out: dict[str, int] = {}
+        if distinct:
+            # Two chunks share a word only if a word of the shorter factor
+            # is a proper prefix (in ``a``) or suffix (in ``b``) of
+            # another.  None is, so the product has exactly
+            # ``len(a) * len(b)`` words: check that before building.
+            self._check(len(a) * len(b))
+            for chunk in chunks:
+                out.update(chunk)
+        else:
+            for chunk in chunks:
+                self._merge(out, chunk)
+        return out
+
+    def terminal(self, symbol: str) -> dict[str, int]:
+        return {symbol: 1}
+
+
+def _prefix_free(words: Iterable[str]) -> bool:
+    """Whether no word is a proper prefix of another.
+
+    In sorted order a word that prefixes any later word prefixes the
+    next one, so adjacent pairs suffice.
+    """
+    ordered = sorted(words)
+    return not any(later.startswith(word) for word, later in zip(ordered, ordered[1:]))
 
 
 #: Shared stateless instances (grammar-specific semirings are per-grammar).

@@ -8,9 +8,8 @@ the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 from repro.errors import EngineError
 
@@ -64,7 +63,6 @@ class ServeConfig:
     drain_grace_s: float = 30.0  #: graceful-shutdown budget for in-flight work
     run_history: int = 256  #: finished runs kept addressable for /events
     max_body_bytes: int = 1 << 20
-    extra: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0 <= self.port <= 65535:

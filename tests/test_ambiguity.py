@@ -14,8 +14,21 @@ from repro.grammars.ambiguity import (
     require_unambiguous,
 )
 from repro.grammars.cfg import grammar_from_mapping
+from repro.grammars.language import count_derivations
+from repro.grammars.random_grammars import GrammarShape, random_finite_grammar
 from repro.languages.example3 import example3_grammar
 from repro.languages.unambiguous_grammar import example4_ucfg
+from tests.legacy_parsers import legacy_generic_count
+
+#: The four grammar shapes of tests/test_pipeline_invariants.py.
+SHAPES = {
+    "default": GrammarShape(),
+    "wide": GrammarShape(n_layers=2, nts_per_layer=3, rules_per_nt=3, max_body=2),
+    "deep": GrammarShape(n_layers=4, nts_per_layer=1, rules_per_nt=2, max_body=4),
+    "epsilon": GrammarShape(epsilon_probability=0.4),
+}
+#: Larger languages are parsed on an evenly spaced sample of this many words.
+PARSED_WORDS = 250
 
 
 class TestDecision:
@@ -87,3 +100,33 @@ class TestRequire:
         g = grammar_from_mapping("ab", {"S": ["a", "X"], "X": ["a"]}, "S")
         with pytest.raises(NotUnambiguousError):
             require_unambiguous(g, "test")
+
+
+def assert_profile_matches_parsing(grammar):
+    """The word-count fold agrees with per-word parsing by the frozen oracle.
+
+    Every profiled word gets its oracle parse count.  The counts summing
+    to all derivations of the start symbol then shows that no other word
+    has a parse.  Where the whole language is parsed, the witness search
+    must also find the length-lex least word the oracle counts twice.
+    """
+    profile = ambiguity_profile(grammar)
+    words = sorted(profile, key=lambda w: (len(w), w))
+    stride = -(-len(words) // PARSED_WORDS) or 1
+    parsed = {word: legacy_generic_count(grammar, word) for word in words[::stride]}
+    assert parsed == {word: profile[word] for word in parsed}
+    assert sum(profile.values()) == count_derivations(grammar)
+    if stride == 1:
+        first = next((word for word in words if parsed[word] >= 2), None)
+        assert find_ambiguous_word(grammar) == first
+        assert is_unambiguous(grammar) == (first is None)
+
+
+class TestProfileMatchesPerWordParsing:
+    def test_corpus(self, corpus_grammar):
+        assert_profile_matches_parsing(corpus_grammar)
+
+    @pytest.mark.parametrize("shape_name", sorted(SHAPES))
+    def test_random_grammars(self, shape_name):
+        for seed in range(200):
+            assert_profile_matches_parsing(random_finite_grammar(seed, SHAPES[shape_name]))

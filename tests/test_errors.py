@@ -11,6 +11,7 @@ from repro.errors import (
     GrammarError,
     InfiniteAmbiguityError,
     InfiniteLanguageError,
+    LanguageTooLargeError,
     MixedLengthLanguageError,
     NotInChomskyNormalFormError,
     NotInLanguageError,
@@ -28,6 +29,7 @@ class TestHierarchy:
             GrammarError,
             NotInLanguageError,
             InfiniteLanguageError,
+            LanguageTooLargeError,
             InfiniteAmbiguityError,
             NotUnambiguousError,
             NotInChomskyNormalFormError,
@@ -41,6 +43,10 @@ class TestHierarchy:
     def test_all_subclass_repro_error(self, exc):
         assert issubclass(exc, ReproError)
         assert issubclass(exc, Exception)
+
+    def test_too_large_is_caught_as_infinite(self):
+        # Callers that catch InfiniteLanguageError keep catching budget overruns.
+        assert issubclass(LanguageTooLargeError, InfiniteLanguageError)
 
     def test_catchable_as_base(self):
         with pytest.raises(ReproError):

@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import (
     InfiniteLanguageError,
+    LanguageTooLargeError,
     MixedLengthLanguageError,
     NotInChomskyNormalFormError,
 )
@@ -27,6 +28,7 @@ from repro.kernel import (
     GenericChart,
     MinLengthSemiring,
     PrefixDP,
+    WordCountSemiring,
     fold_grammar,
     path_value,
     path_values_up_to,
@@ -71,6 +73,53 @@ class TestSemiringLaws:
         assert sr.add(sr.add(a, b), c) == sr.add(a, sr.add(b, c))
         assert sr.mul(sr.mul(a, b), c) == sr.mul(a, sr.mul(b, c))
         assert sr.mul(a, sr.add(b, c)) == sr.add(sr.mul(a, b), sr.mul(a, c))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            ({"a": 1}, {"b": 2, "ab": 1}, {"": 1, "a": 3}),
+            ({"": 2, "a": 1}, {"a": 1, "aa": 1}, {"b": 1, "": 1}),
+            ({}, {"ba": 1}, {"": 1, "b": 1, "bb": 2}),
+        ],
+    )
+    def test_word_count_laws(self, values):
+        # Some factors have a word that prefixes another, so products
+        # repeat words and their counts must add up.
+        sr = WordCountSemiring(max_words=100)
+        a, b, c = values
+        assert sr.add(sr.zero, a) == a
+        assert sr.mul(sr.one, a) == a == sr.mul(a, sr.one)
+        assert sr.add(sr.add(a, b), c) == sr.add(a, sr.add(b, c))
+        assert sr.mul(sr.mul(a, b), c) == sr.mul(a, sr.mul(b, c))
+        assert sr.mul(a, sr.add(b, c)) == sr.add(sr.mul(a, b), sr.mul(a, c))
+        assert sr.mul(sr.add(a, b), c) == sr.add(sr.mul(a, c), sr.mul(b, c))
+
+    def test_word_count_product_matches_brute_force(self):
+        rng = random.Random(5)
+        sr = WordCountSemiring(max_words=10_000)
+        for _ in range(200):
+            a, b = (
+                {"".join(rng.choice("ab") for _ in range(rng.randint(0, 3))): rng.randint(1, 3)
+                 for _ in range(rng.randint(1, 6))}
+                for _ in range(2)
+            )
+            expected: dict[str, int] = {}
+            for (u, c), (v, d) in itertools.product(a.items(), b.items()):
+                expected[u + v] = expected.get(u + v, 0) + c * d
+            assert sr.mul(a, b) == expected
+            assert a == dict(a) and b == dict(b)  # arguments untouched
+
+    def test_word_count_budget(self):
+        sr = WordCountSemiring(max_words=5)
+        distinct = {"a": 1, "b": 1}  # prefix-free: 2 x 3 words, refused up front
+        with pytest.raises(LanguageTooLargeError):
+            sr.mul(distinct, {"a": 1, "b": 1, "c": 1})
+        repeating = {"": 1, "a": 1, "aa": 1}  # a^0..a^4: 5 words from 9 pairs
+        assert sr.mul(repeating, repeating) == {"": 1, "a": 2, "aa": 3, "aaa": 2, "aaaa": 1}
+        with pytest.raises(LanguageTooLargeError):
+            sr.mul(repeating, {"": 1, "a": 1, "aa": 1, "aaa": 1})
+        with pytest.raises(LanguageTooLargeError):
+            sr.add({"a": 1, "b": 1, "c": 1}, {"d": 1, "e": 1, "f": 1})
 
     def test_boolean_absorbing(self):
         assert BOOLEAN.is_absorbing(True) and not BOOLEAN.is_absorbing(False)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import InfiniteLanguageError
+from repro.errors import InfiniteLanguageError, LanguageTooLargeError
 from repro.grammars.ambiguity import is_unambiguous
 from repro.grammars.cfg import grammar_from_mapping
 from repro.grammars.generic import GenericParser
@@ -23,6 +23,7 @@ from repro.grammars.language import (
     language,
     languages_by_nonterminal,
     same_language,
+    word_counts_by_nonterminal,
     words_by_length,
 )
 
@@ -85,6 +86,32 @@ class TestLanguage:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "typed error"
+
+    def test_over_budget_raises_the_typed_subclass(self):
+        g = grammar_from_mapping("ab", {"S": ["XXX"], "X": ["a", "b"]}, "S")
+        with pytest.raises(LanguageTooLargeError, match="max_words=7"):
+            language(g, max_words=7)
+        # Products whose words repeat are checked as they grow.
+        repeats = grammar_from_mapping("ab", {"S": ["XX"], "X": ["", "a", "aa", "aaa"]}, "S")
+        assert len(language(repeats, max_words=7)) == 7
+        with pytest.raises(LanguageTooLargeError):
+            language(repeats, max_words=6)
+        # An infinite language is still reported as infinite, not too large.
+        with pytest.raises(InfiniteLanguageError) as info:
+            language(grammar_from_mapping("ab", {"S": ["aS", "a"]}, "S"))
+        assert not isinstance(info.value, LanguageTooLargeError)
+
+    def test_word_counts_by_nonterminal(self):
+        g = grammar_from_mapping(
+            "ab", {"S": ["XX", "a"], "X": ["", "a", "aa"], "L": ["b"]}, "S"
+        )
+        counts = word_counts_by_nonterminal(g)
+        assert counts == {
+            "S": {"": 1, "a": 3, "aa": 3, "aaa": 2, "aaaa": 1},
+            "X": {"": 1, "a": 1, "aa": 1},
+        }
+        assert languages_by_nonterminal(g) == {nt: frozenset(c) for nt, c in counts.items()}
+        assert sum(counts["S"].values()) == count_derivations(g)
 
     def test_iter_language_ordering(self):
         g = grammar_from_mapping("ab", {"S": ["ba", "b", "ab"]}, "S")

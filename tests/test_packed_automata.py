@@ -45,6 +45,7 @@ from repro.automata import (
     packed_minimise,
     trim_nfa,
 )
+from repro.automata.ops import dfa_from_finite_language, minimal_dfa_of_finite_language
 from repro.automata.packed import (
     _nfa_transfer_rows,
     _transfer_rows,
@@ -187,7 +188,7 @@ class TestMinimiseAgreement:
             _assert_same_dfa(minimise(dfa), legacy_minimise(dfa))
 
     def test_ln_minimal_dfa_unchanged(self):
-        # End-to-end through the languages module (trie + minimise route).
+        # End-to-end through the languages module (trie + layered hash).
         for n in range(1, 4):
             dfa = ln_minimal_dfa(n)
             assert dfa.n_states == legacy_minimise(legacy_determinise(ln_nfa_exact(n))).n_states
@@ -679,3 +680,55 @@ class TestFixedLengthMinimal:
                 pnfa = PackedNFA.from_nfa(nfa)
                 dfa, _ = packed_fixed_length_minimal(pnfa, length)
                 assert dfa.to_key() == _two_stage(pnfa).to_key(), (backend, seed)
+
+
+def _random_language(seed: int) -> tuple[set[str], Alphabet]:
+    """A seeded finite language of mixed word lengths (every fifth over abc)."""
+    rng = random.Random(seed)
+    symbols = "abc" if seed % 5 == 0 else "ab"
+    max_length = rng.randint(0, 8)
+    words = {
+        "".join(rng.choice(symbols) for _ in range(rng.randint(0, max_length)))
+        for _ in range(rng.randint(0, 25))
+    }
+    return words, Alphabet(symbols)
+
+
+def _hopcroft_on_trie(words: set[str], alphabet: Alphabet) -> DFA:
+    """The route finite languages took before: trie, then Hopcroft."""
+    return packed_minimise(PackedDFA.from_dfa(dfa_from_finite_language(words, alphabet))).to_dfa()
+
+
+class TestFiniteLanguageMinimal:
+    """Hashing the layered trie equals Hopcroft on the trie, state for state."""
+
+    def test_random_languages(self):
+        for seed in range(3000):
+            words, alphabet = _random_language(seed)
+            ours = minimal_dfa_of_finite_language(words, alphabet)
+            _assert_same_dfa(ours, _hopcroft_on_trie(words, alphabet))
+
+    @pytest.mark.parametrize("words,n_states", [(set(), 1), ({""}, 2), ({"ab", "aab"}, 5)])
+    def test_edge_languages(self, words, n_states):
+        ours = minimal_dfa_of_finite_language(words, AB)
+        _assert_same_dfa(ours, _hopcroft_on_trie(words, AB))
+        # {ab, aab}: the states after ab and after aab, at depths 2 and 3,
+        # are one state, so a per-layer hash (6 states) would be wrong.
+        assert ours.n_states == n_states
+
+    def test_trie_keeps_prefix_labels(self):
+        for seed in range(300):
+            words, alphabet = _random_language(seed)
+            prefixes = {word[:i] for word in words for i in range(len(word) + 1)} | {""}
+            trie = dfa_from_finite_language(words, alphabet)
+            assert trie.states == prefixes
+            assert trie.initial == ""
+            assert trie.accepting == words
+            assert trie.transitions() == {(p[:-1], p[-1]): p for p in prefixes if p}
+
+    @pytest.mark.parametrize("words", [{"ac"}, {"ab", "abc"}, {"cab"}, {"aab", "aac", "b"}])
+    def test_trie_rejects_foreign_symbols(self, words):
+        with pytest.raises(AutomatonError, match="uses symbol 'c' outside the alphabet"):
+            dfa_from_finite_language(words, AB)
+        with pytest.raises(AutomatonError, match="uses symbol 'c' outside the alphabet"):
+            minimal_dfa_of_finite_language(words, AB)
