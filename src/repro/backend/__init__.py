@@ -122,15 +122,14 @@ class Backend(Protocol):
         self, binary: Sequence[tuple[int, int, int]]
     ) -> Callable[[int, int], int]: ...
 
-    # document-parallel extraction scanning
+    # document-parallel extraction scanning, with the checksum fold
     def make_layered_scan(
         self,
         tables: Sequence[Sequence[int]],
         initial: int,
         accepting_mask: int,
         doc_len: int,
-    ) -> Callable[[str], int]: ...
-    def fold_indices(self, mask: int, checksum: int, base: int) -> tuple[int, int]: ...
+    ) -> Callable[..., tuple[int, int]]: ...
 
 
 #: Registered backend classes, in definition order.  To add a backend,

@@ -194,7 +194,7 @@ def _op_split(rng: random.Random):
 
 
 def _op_scan(rng: random.Random):
-    """Extraction body scan + checksum fold (the ``StreamScanner`` body)."""
+    """Extraction scan with its checksum fold (one ``StreamScanner`` chunk)."""
     from repro.extract.compile import compile_scanner
     from repro.extract.spec import relation_pairs
 
@@ -211,7 +211,7 @@ def _op_scan(rng: random.Random):
     }
 
     def run(backend: Backend) -> tuple[int, int]:
-        return backend.fold_indices(scans[backend.name](body), 0, 0)
+        return scans[backend.name](body, 0, 0)
 
     workload = (
         f"scan + fold of {n_docs} docs, {compiled.n_states}-state c=5 w=2 "

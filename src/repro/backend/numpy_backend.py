@@ -20,19 +20,22 @@ size tried — so it is inherited, not vectorised).  What survives:
   SWAR sweep within the guards below.  Inputs that could overflow int64
   or blow the memory cap fall back to the inherited SWAR kernel, so
   results stay bit-exact for every input.
-* :meth:`NumpyBackend.make_layered_scan` — the extraction body scan.
-  The factory composes the DFA's transition table once into a *block
-  table* ``T[q, code]`` over ``_SCAN_BLOCK`` = 4 characters (a final
-  partial block gets a narrower table, folded straight into
-  acceptance).  A call views the body's bytes as one little-endian
+* :meth:`NumpyBackend.make_layered_scan` — the extraction scan.  The
+  factory composes the DFA's transition table into *block tables* over
+  ``_SCAN_BLOCK`` = 4 characters, one per block of the document, each
+  over the states reachable where its block starts, numbered locally
+  (a final partial block gets a narrower table, folded straight into
+  acceptance).  A call views the documents' bytes as one little-endian
   uint32 per block, turns each into its 4-bit code with one multiply,
-  and runs ``⌈L/4⌉`` gathers ``q = T[q, code]`` over all documents at
+  and runs ``⌈L/4⌉`` gathers ``q = T_j[q, code]`` over all documents at
   once.  A document costs the same however many DFA states are live,
   where the inherited occupancy walk pays one Python iteration per
-  live state per phase (up to 1,024 for a 5-column query).
-* :meth:`NumpyBackend.fold_indices` — the match-set checksum in closed
-  form, ``checksum·M^m + Σ_j (base+i_j+1)·M^(m-1-j) mod 2^64`` on
-  wrapping uint64 arrays, instead of one Python call per match.
+  live state per phase (up to 1,024 for a 5-column query).  The same
+  call folds the matches into the checksum in closed form — one
+  wrapping uint64 dot against inverse powers of the multiplier —
+  instead of one Python call per match.  It works in slices of at most
+  ``_SCAN_SLICE`` documents, so its temporaries and the powers table
+  stay bounded whatever the body's size.
 
 Everything else — chunked step tables, xor-basis GF(2), word-at-a-time
 scans, and the inherited reference kernels — comes from
@@ -42,7 +45,6 @@ scans, and the inherited reference kernels — comes from
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from functools import lru_cache
 
 from repro.backend.limbs import mask_to_bytes
 from repro.backend.reference import CHECKSUM_MULTIPLIER, foreign_symbol, iter_bits
@@ -65,22 +67,32 @@ def numpy_version() -> str | None:
 _BILINEAR_CELL_CAP = 1 << 22
 
 #: Characters per block-table gather in the extraction scan: 16 successors
-#: per state (219 KB for a 3,419-state DFA), and a block of the body's
-#: bytes is one uint32 word.
+#: per state, and a block of the body's bytes is one uint32 word.
 _SCAN_BLOCK = 4
+#: Documents per slice of the extraction scan, which bounds the scan's
+#: temporaries and the checksum's powers table whatever the body's size.
+_SCAN_SLICE = 1 << 16
 _U64 = (1 << 64) - 1
+#: ``M^-1 mod 2^64``: the multiplier is odd, so it is a unit mod 2^64.
+_INVERSE_MULTIPLIER = pow(CHECKSUM_MULTIPLIER, -1, 1 << 64)
+_inverse_powers_table = None
 
 
-@lru_cache(maxsize=None)
-def _checksum_powers(log2_size: int):
-    """``M^0 .. M^(2^log2_size - 1) mod 2^64``, read-only, for the fold.
+def _inverse_powers(count: int):
+    """``M^-1 .. M^-n mod 2^64`` for some ``n >= count``, read-only.
 
-    uint64 arrays wrap silently; numpy *scalar* arithmetic would warn.
+    One table serves the whole process.  It is regrown to the next power
+    of two when a slice has more matches than it covers, so it never
+    holds more than ``_SCAN_SLICE`` entries.  uint64 arrays wrap
+    silently; numpy *scalar* arithmetic would warn.
     """
-    powers = _np.full(1 << log2_size, CHECKSUM_MULTIPLIER, dtype=_np.uint64)
-    powers[0] = 1
-    _np.cumprod(powers, out=powers)
-    powers.flags.writeable = False
+    global _inverse_powers_table
+    powers = _inverse_powers_table
+    if powers is None or len(powers) < count:
+        powers = _np.full(1 << (count - 1).bit_length(), _INVERSE_MULTIPLIER, dtype=_np.uint64)
+        _np.cumprod(powers, out=powers)
+        powers.flags.writeable = False
+        _inverse_powers_table = powers
     return powers
 
 
@@ -124,77 +136,94 @@ class NumpyBackend(WordsBackend):
         initial: int,
         accepting_mask: int,
         doc_len: int,
-    ) -> Callable[[str], int]:
-        n_states = len(tables[0])
+    ) -> Callable[..., tuple[int, int]]:
         one = _np.array(tables, dtype=_np.intp).T
+        n_states = len(one)
         accepting = _np.zeros(n_states, dtype=bool)
         accepting[list(iter_bits(accepting_mask))] = True
-
-        def block_table(width: int):
-            """``[q, code]``: the state after ``width`` characters whose
-            b-bits, first character lowest, spell ``code``."""
-            table = _np.arange(n_states, dtype=_np.intp)[:, None]
-            for _ in range(width):
-                table = one[table].transpose(0, 2, 1).reshape(n_states, -1)
-            return table
-
         stride = 1 << _SCAN_BLOCK
-        n_steps, last_width = divmod(doc_len, _SCAN_BLOCK)
-        if not last_width:
-            n_steps, last_width = n_steps - 1, _SCAN_BLOCK
-        # Entries are row offsets (state * stride), so a gather is one add.
-        step = (block_table(_SCAN_BLOCK) * stride).ravel() if n_steps else None
-        final = _np.zeros((n_states, stride), dtype=bool)
-        final[:, : 1 << last_width] = accepting[block_table(last_width)]
-        final = final.ravel()
-        n_blocks = n_steps + 1
+        # Per block: the states reachable where it starts (global numbers;
+        # index = local number), and a table [local state, code] whose
+        # entries are the next block's row offsets (local state * stride),
+        # so a gather is one add.  ``local`` maps the next layer's states
+        # to their row offsets (np.unique would do, but its first call
+        # imports numpy.ma: 1.7 MB of resident memory).
+        layer = _np.array([initial], dtype=_np.intp)
+        local = _np.zeros(n_states, dtype=_np.intp)
+        steps = []
+        for start in range(0, doc_len, _SCAN_BLOCK):
+            width = min(_SCAN_BLOCK, doc_len - start)
+            # after[i, code]: the state reached from layer[i] by the
+            # ``width`` characters whose b-bits, first character lowest,
+            # spell ``code``.
+            after = layer[:, None]
+            for _ in range(width):
+                after = one[after].transpose(0, 2, 1).reshape(len(layer), -1)
+            if start + width == doc_len:
+                final = _np.zeros((len(layer), stride), dtype=bool)
+                final[:, : 1 << width] = accepting[after]
+                final = final.ravel()
+            else:
+                reached = _np.zeros(n_states, dtype=bool)
+                reached[after] = True
+                layer = _np.flatnonzero(reached)
+                local[layer] = _np.arange(len(layer)) * stride
+                steps.append(local[after].ravel())
+        n_blocks = len(steps) + 1
         padded = n_blocks * _SCAN_BLOCK
-        start = initial * stride
 
-        def scan(body: str) -> int:
-            n_docs = len(body) // doc_len
-            if not n_docs:
-                return 0
-            raw = _np.frombuffer(body.encode("ascii", "replace"), dtype=_np.uint8)
-            if raw.min() < 0x61 or raw.max() > 0x62:
-                raise foreign_symbol(body)
+        def accepted(raw, n_docs: int):
+            """Indices of the accepted documents among the first ``n_docs`` of ``raw``."""
+            raw = raw[: n_docs * doc_len]
             if padded != doc_len:
                 wide = _np.zeros((n_docs, padded), dtype=_np.uint8)
                 wide[:, :doc_len] = raw.reshape(n_docs, doc_len)
                 raw = wide
             # Bit 1 of a byte is its b-bit ('a' = 0x61, 'b' = 0x62, padding
             # 0); the multiply moves the four b-bits of a little-endian
-            # uint32 block to bits 22..25 without carries.
-            codes = raw.view("<u4") & 0x02020202
-            codes *= 0x00204081
-            codes >>= 22
-            codes &= stride - 1
-            codes = codes.reshape(n_docs, n_blocks).T.astype(_np.intp, order="C")
-            rows = _np.full(n_docs, start, dtype=_np.intp)
-            for j in range(n_steps):
-                rows += codes[j]
+            # uint32 block to bits 28..31 without carries, the rest off
+            # the top.  Row j of ``codes`` is block j of every document.
+            codes = raw.view("<u4").reshape(n_docs, n_blocks) & 0x02020202
+            codes *= 0x08102040
+            codes >>= 28
+            codes = codes.T.astype(_np.intp, order="C")
+            rows = codes[0]  # the initial state is row 0 of block 0
+            for j, step in enumerate(steps, 1):
                 rows = step[rows]
-            rows += codes[n_steps]
-            accepted = _np.packbits(final[rows], bitorder="little")
-            return int.from_bytes(accepted.tobytes(), "little")
+                rows += codes[j]
+            return _np.flatnonzero(final[rows])
+
+        def scan(body: str, checksum: int, base: int, ids: list[int] | None = None):
+            n_docs = len(body) // doc_len
+            mark = 0 if ids is None else len(ids)
+            count = 0
+            for lo in range(0, max(n_docs, 1), _SCAN_SLICE):
+                hi = min(lo + _SCAN_SLICE, n_docs)
+                # The last slice also holds the partial document after the
+                # whole ones: checked, not scanned.
+                part = body[lo * doc_len : hi * doc_len if hi < n_docs else None]
+                raw = _np.frombuffer(part.encode("ascii", "replace"), dtype=_np.uint8)
+                if part and (raw.min() < 0x61 or raw.max() > 0x62):
+                    if ids is not None:
+                        del ids[mark:]
+                    raise foreign_symbol(part, lo * doc_len)
+                matched = accepted(raw, hi - lo)
+                found = len(matched)
+                if not found:
+                    continue
+                # Horner in closed form over the values v_j = id_j + 1, in
+                # order: checksum' = M^m (checksum + Σ_j v_j M^-j) mod 2^64.
+                offset = base + lo
+                values = matched.astype(_np.uint64)
+                values += _np.uint64((offset + 1) & _U64)
+                total = int(_np.dot(values, _inverse_powers(found)[:found]))
+                checksum = (checksum + total) * pow(CHECKSUM_MULTIPLIER, found, 1 << 64) & _U64
+                if ids is not None:
+                    ids.extend(map(offset.__add__, matched.tolist()))
+                count += found
+            return count, checksum
 
         return scan
-
-    def fold_indices(self, mask: int, checksum: int, base: int) -> tuple[int, int]:
-        if not mask:
-            return 0, checksum
-        bits = _np.unpackbits(
-            _np.frombuffer(mask_to_bytes(mask), dtype=_np.uint8), bitorder="little"
-        )
-        ids = _np.flatnonzero(bits.view(bool)).astype(_np.uint64)
-        count = len(ids)
-        # Horner in closed form, mod 2^64 by wrap-around on uint64 arrays.
-        powers = _checksum_powers(count.bit_length())  # powers[j] = M^j
-        ids += _np.uint64((base + 1) & _U64)
-        ids *= powers[count - 1 :: -1]
-        total = _np.array([checksum & _U64], dtype=_np.uint64) * powers[count : count + 1]
-        total += ids.sum(dtype=_np.uint64)
-        return count, int(total[0])
 
     def max_bilinear(self, base: list[list[int]]) -> int:
         dim = len(base)

@@ -19,10 +19,9 @@ verbatim, byte-for-byte in behaviour:
   arithmetic;
 * :meth:`~ReferenceBackend.make_binary_step` — the CNF bitset
   binary-rule step of :mod:`repro.kernel.chart`;
-* :meth:`~ReferenceBackend.make_layered_scan` /
-  :meth:`~ReferenceBackend.fold_indices` — the document-parallel
-  occupancy walk and the match-set checksum fold of
-  :mod:`repro.extract.scan`.
+* :meth:`~ReferenceBackend.make_layered_scan` — the document-parallel
+  occupancy walk of :mod:`repro.extract.scan`, with the match-set
+  checksum fold.
 
 Other backends subclass this one and override only the kernels they can
 genuinely beat; an inherited method is *definitionally* bit-exact (it is
@@ -46,7 +45,7 @@ __all__ = [
 ]
 
 #: The multiplier of the match-set checksum's Horner fold — the one
-#: definition behind :func:`fold_checksum` and every ``fold_indices``.
+#: definition behind :func:`fold_checksum` and every scan's fold.
 CHECKSUM_MULTIPLIER = 1000003
 _U64 = (1 << 64) - 1
 
@@ -217,21 +216,29 @@ class ReferenceBackend:
         initial: int,
         accepting_mask: int,
         doc_len: int,
-    ) -> Callable[[str], int]:
-        """A ``body -> accept mask`` closure for a complete DFA over ``{a, b}``.
+    ) -> Callable[..., tuple[int, int]]:
+        """A ``scan(body, checksum, base, ids=None)`` closure for a complete
+        DFA over ``{a, b}``.
 
         ``tables[0]`` / ``tables[1]`` are the successors on ``a`` / ``b``.
-        ``body`` is a run of whole ``doc_len``-character documents; bit
-        ``d`` of the result is set iff the DFA accepts document ``d``.  A
-        character outside ``{a, b}`` raises
-        :class:`~repro.errors.SymbolError` naming its offset in ``body``.
+        ``body`` is a run of whole ``doc_len``-character documents,
+        optionally followed by the start of one more, which is checked
+        but not scanned.  A character outside ``{a, b}`` anywhere in
+        ``body`` raises :class:`~repro.errors.SymbolError` naming its
+        offset in ``body``, before anything else happens.  Otherwise the
+        call returns ``(count, checksum)``: the number of accepted
+        documents, and ``checksum`` after folding ``base + d`` for each
+        accepted document ``d``, ascending, with :func:`fold_checksum`.
+        When ``ids`` is a list, those ``base + d`` are appended to it.
 
         The walk: the body is transposed into one bit column per phase
         (``a`` -> 0, ``b`` -> 1, document ``d`` at bit ``d``), and an
         occupancy map ``{state: doc-mask}`` advances *all* documents one
         phase per step, one ``&``/``^`` pair per live state.  Documents
         entering a sink — a non-accepting state looping to itself on
-        both symbols — drop out of the masks.
+        both symbols — drop out of the masks.  The accepted documents
+        come from ``self.bit_indices``, so a backend that inherits this
+        walk still runs its own set-bit expansion.
         """
         n_states = len(tables[0])
         sink = [
@@ -240,13 +247,16 @@ class ReferenceBackend:
         ]
         table_a, table_b = ([-1 if sink[succ] else succ for succ in table] for table in tables)
         accept_states = list(iter_bits(accepting_mask))
+        bit_indices = self.bit_indices
 
-        def scan(body: str) -> int:
-            n_docs = len(body) // doc_len
+        def scan(body: str, checksum: int, base: int, ids: list[int] | None = None):
             bits = body.translate(_TO_BITS)
             if not body.isascii() or "?" in bits:
                 raise foreign_symbol(body)
+            n_docs = len(body) // doc_len
             # Occupancy: DFA state -> mask of documents currently in it.
+            # A column's bit for a trailing partial document lies outside
+            # every mask, so it is never read.
             occupancy = {initial: (1 << n_docs) - 1}
             for t in range(doc_len):
                 # Bit-column for phase t: document d contributes bit d.
@@ -270,21 +280,14 @@ class ReferenceBackend:
             accept_mask = 0
             for q in accept_states:
                 accept_mask |= occupancy.get(q, 0)
-            return accept_mask
+            matched = bit_indices(accept_mask) if accept_mask else []
+            for offset in matched:
+                checksum = fold_checksum(checksum, base + offset)
+            if ids is not None:
+                ids.extend(base + offset for offset in matched)
+            return len(matched), checksum
 
         return scan
-
-    def fold_indices(self, mask: int, checksum: int, base: int) -> tuple[int, int]:
-        """``(popcount, checksum)`` after folding ``base + i`` per set bit ``i``.
-
-        The ids are folded in ascending order with :func:`fold_checksum`,
-        so the result equals folding them one at a time.
-        """
-        count = self.popcount(mask)
-        if count:
-            for offset in self.bit_indices(mask):
-                checksum = fold_checksum(checksum, base + offset)
-        return count, checksum
 
     # -- exact linear algebra -----------------------------------------
 

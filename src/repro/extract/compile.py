@@ -136,7 +136,7 @@ class CompiledScanner:
     layers: tuple[tuple[int, ...], ...]
     nfa_states: int
     det_states: int
-    _scans: dict[str, Callable[[str], int]] = field(
+    _scans: dict[str, Callable[..., tuple[int, int]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -161,7 +161,7 @@ class CompiledScanner:
     def accepts(self, document: str) -> bool:
         return self.dfa.accepts(document)
 
-    def layered_scan(self, backend: Backend) -> Callable[[str], int]:
+    def layered_scan(self, backend: Backend) -> Callable[..., tuple[int, int]]:
         """``backend.make_layered_scan`` for this DFA, built on first use.
 
         ``extract.scan`` builds a ``StreamScanner`` per request or shard,

@@ -1,26 +1,19 @@
 """Constant-memory chunked scanning with document-parallel bit kernels.
 
 The scanner consumes a stream of chunks whose boundaries fall anywhere.
-Per chunk it splits the text into three parts:
-
-1. **head** — the tail of a document begun in an earlier chunk.  The
-   carried frontier (:class:`ScanState`: current DFA state + phase)
-   advances by a scalar walk over the *same* minimal DFA, so a match
-   straddling a boundary is found exactly.
-2. **body** — the whole documents fully inside the chunk.  These are
-   scanned *in parallel across documents* by the backend's
-   ``make_layered_scan`` kernel, which returns the chunk's accept mask
-   (bit ``d`` = document ``d`` matched): the reference occupancy walk
-   over per-phase bit columns, or numpy's block-table gathers.  The
-   backend's ``fold_indices`` then counts the matches and folds their
-   ids into the checksum.
-3. **tail** — the prefix of a document that will finish in a later
-   chunk; it becomes the next carried frontier.
+It carries the unfinished document between chunks as a string shorter
+than the document length (:class:`ScanState`'s ``carry``).  Per chunk,
+``carry + chunk`` goes to the backend's ``make_layered_scan`` kernel in
+**one call**: the kernel checks every character, scans the whole
+documents *in parallel across documents* — the reference occupancy walk
+over per-phase bit columns, or numpy's block-table gathers — counts the
+matches and folds their ids into the checksum.  What is left after the
+last whole document becomes the next carry.
 
 Chunking invariant: for any chunk decomposition of the same stream, the
-final ``(docs, matches, checksum, match_ids)`` are identical — the
-boundary walk and the bit-parallel body run the same DFA.  A character
-other than ``a``/``b`` anywhere in a chunk raises
+final ``(docs, matches, checksum, match_ids)`` are identical — every
+document is scanned whole, by the same kernel.  A character other than
+``a``/``b`` anywhere in a chunk raises
 :class:`~repro.errors.SymbolError` with its chunk offset.
 
 Three oracles live here too: :func:`semantic_scan` (per-document brute
@@ -35,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.backend import get_backend
-from repro.backend.reference import fold_checksum, foreign_symbol
+from repro.backend.reference import fold_checksum
 from repro.errors import SymbolError
 from repro.grammars.cnf import to_cnf
 from repro.kernel.batch import BatchedRecognizer
@@ -58,14 +51,14 @@ __all__ = [
 
 @dataclass
 class ScanState:
-    """The frontier carried across chunk boundaries, plus accumulators."""
+    """A scan's accumulators, plus the unfinished document carried
+    between chunks (always shorter than the document length)."""
 
-    state: int
-    phase: int = 0
     docs_done: int = 0
     matches: int = 0
     checksum: int = 0
     match_ids: list[int] | None = None
+    carry: str = ""
 
     def result(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -84,61 +77,48 @@ class StreamScanner:
     The kernel backend is resolved **once, here**: the active backend
     (see :func:`repro.backend.get_backend`) when the scanner is built
     serves every chunk it is fed, so build it inside the
-    ``use_backend`` scope that should run it.  Whole documents go
-    through that backend's ``make_layered_scan`` kernel — built once per
+    ``use_backend`` scope that should run it.  Every chunk goes through
+    that backend's ``make_layered_scan`` kernel, built once per
     (compiled scanner, backend) by :meth:`CompiledScanner.layered_scan`
-    and shared by every ``StreamScanner`` — and its ``fold_indices``;
-    the scalar boundary walk is the same for every backend.
+    and shared by every ``StreamScanner``.
     """
 
     def __init__(self, compiled: CompiledScanner, *, collect_ids: bool = False):
         self.compiled = compiled
         self.doc_len = compiled.doc_len
         self.collect_ids = collect_ids
-        dfa = compiled.dfa
-        self._table_a = dfa.tables[0]
-        self._table_b = dfa.tables[1]
-        self._initial = dfa.initial
-        self._accepting_mask = dfa.accepting_mask
         self._backend = get_backend()
-        self._scan_body = compiled.layered_scan(self._backend)
+        self._scan = compiled.layered_scan(self._backend)
 
     def new_state(self) -> ScanState:
-        return ScanState(
-            state=self._initial,
-            match_ids=[] if self.collect_ids else None,
-        )
+        return ScanState(match_ids=[] if self.collect_ids else None)
 
     def feed(self, state: ScanState, chunk: str) -> ScanState:
         """Consume one chunk (possibly empty) and return the new state.
 
+        The carried document and ``chunk`` go to the kernel in one call.
         A character other than ``a``/``b`` raises
         :class:`~repro.errors.SymbolError` naming its offset in
-        ``chunk``; ``state`` is then partly advanced and should be
-        dropped.
+        ``chunk``; ``state`` is then unchanged.
         """
-        pos = 0
-        length = self.doc_len
-        if state.phase:
-            take = min(length - state.phase, len(chunk))
-            self._scalar(state, chunk, 0, take)
-            pos = take
-        n_full = (len(chunk) - pos) // length
-        if n_full:
-            try:
-                self._bulk(state, chunk[pos : pos + n_full * length], n_full)
-            except SymbolError as exc:
-                raise SymbolError(pos + exc.offset, exc.char) from None
-            pos += n_full * length
-        if pos < len(chunk):
-            self._scalar(state, chunk, pos, len(chunk) - pos)
+        carry = state.carry
+        text = carry + chunk
+        try:
+            count, checksum = self._scan(text, state.checksum, state.docs_done, state.match_ids)
+        except SymbolError as exc:
+            raise SymbolError(exc.offset - len(carry), exc.char) from None
+        n_docs = len(text) // self.doc_len
+        state.docs_done += n_docs
+        state.matches += count
+        state.checksum = checksum
+        state.carry = text[n_docs * self.doc_len :]
         return state
 
     def finish(self, state: ScanState) -> dict[str, Any]:
         """Validate end-of-stream (no dangling partial document)."""
-        if state.phase:
+        if state.carry:
             raise ValueError(
-                f"stream ended mid-document: {state.phase}/{self.doc_len} chars"
+                f"stream ended mid-document: {len(state.carry)}/{self.doc_len} chars"
             )
         return state.result()
 
@@ -147,41 +127,6 @@ class StreamScanner:
         for chunk in chunks:
             self.feed(state, chunk)
         return self.finish(state)
-
-    # -- scalar boundary walk -------------------------------------------
-
-    def _scalar(self, state: ScanState, chunk: str, pos: int, count: int) -> None:
-        table_a, table_b = self._table_a, self._table_b
-        q, phase, length = state.state, state.phase, self.doc_len
-        for ch in chunk[pos : pos + count]:
-            if ch == "b":
-                q = table_b[q]
-            elif ch == "a":
-                q = table_a[q]
-            else:
-                raise foreign_symbol(chunk[pos : pos + count], pos)
-            phase += 1
-            if phase == length:
-                if (self._accepting_mask >> q) & 1:
-                    doc_id = state.docs_done
-                    state.matches += 1
-                    state.checksum = fold_checksum(state.checksum, doc_id)
-                    if state.match_ids is not None:
-                        state.match_ids.append(doc_id)
-                state.docs_done += 1
-                q, phase = self._initial, 0
-        state.state, state.phase = q, phase
-
-    # -- document-parallel body kernel ----------------------------------
-
-    def _bulk(self, state: ScanState, body: str, n_docs: int) -> None:
-        accept_mask = self._scan_body(body)
-        base = state.docs_done
-        count, state.checksum = self._backend.fold_indices(accept_mask, state.checksum, base)
-        state.matches += count
-        if count and state.match_ids is not None:
-            state.match_ids.extend(base + i for i in self._backend.bit_indices(accept_mask))
-        state.docs_done += n_docs
 
 
 def scan_stream(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import threading
+from functools import lru_cache
 
 import pytest
 
@@ -238,60 +239,144 @@ def test_binary_step_matches(other):
             assert ours(left, right) == theirs(left, right)
 
 
-#: ``(c, w, columns)`` for document lengths 2, 6, 8, 10, 16 and 20; 2, 6
-#: and 10 are not multiples of the numpy scan's 4-character block.
+#: Document lengths 2, 6, 8, 10, 16 and 20 (2, 6 and 10 are not multiples
+#: of the numpy scan's 4-character block), then extract-scan's widest
+#: queries: the 3,419-state five-column ``match`` and the three-column ``leq``.
 SCAN_SHAPES = [
-    (1, 1, (1,)),
-    (3, 1, (1, 3)),
-    (2, 2, (1, 2)),
-    (5, 1, (2, 4)),
-    (4, 2, (1, 4)),
-    (5, 2, (1, 3, 4)),
+    pytest.param(1, 1, (1,), "match", id="len2"),
+    pytest.param(3, 1, (1, 3), "match", id="len6"),
+    pytest.param(2, 2, (1, 2), "match", id="len8"),
+    pytest.param(5, 1, (2, 4), "match", id="len10"),
+    pytest.param(4, 2, (1, 4), "match", id="len16"),
+    pytest.param(5, 2, (1, 3, 4), "match", id="len20"),
+    pytest.param(5, 2, (1, 2, 3, 4, 5), "match", id="len20-match5"),
+    pytest.param(5, 2, (1, 3, 4), "leq", id="len20-leq3"),
 ]
+#: Body sizes in documents, across a 64-bit word, a power of two (4,096)
+#: and the numpy scan's 2^16-document slice.
+SCAN_DOCS = (0, 1, 63, 64, 65, 4095, 4096, 4097, 70_000)
+_TOP = (1 << 64) - 1
+#: ``(checksum, base)`` starts for the fold: zero, near 2^64, and bases
+#: at and beyond 2^40.
+FOLD_STARTS = [(0, 0), (_TOP, 1 << 40), (_TOP - 0xBEEF, (1 << 40) + 0xCAFE), (12345, _TOP)]
+_TO_AB = str.maketrans("01", "ab")
+
+
+def _random_body(rng: random.Random, n_chars: int) -> str:
+    if not n_chars:
+        return ""
+    return format(rng.getrandbits(n_chars), f"0{n_chars}b").translate(_TO_AB)
+
+
+def _folded(ids: list[int], checksum: int, base: int) -> int:
+    """The frozen Horner fold of ``base + i`` over ``ids``, one id at a time."""
+    for index in ids:
+        checksum = fold_checksum(checksum, base + index)
+    return checksum
+
+
+@lru_cache(maxsize=None)
+def _scan_case(c: int, w: int, columns: tuple[int, ...], relation: str):
+    """The DFA's factory arguments and seeded bodies (each with a trailing
+    partial document), with the reference scan's match ids per body."""
+    from repro.extract import compile_scanner, relation_pairs
+
+    compiled = compile_scanner(c, w, columns, relation_pairs(relation, w))
+    dfa, length = compiled.dfa, compiled.doc_len
+    args = (dfa.tables, dfa.initial, dfa.accepting_mask, length)
+    scan = REFERENCE.make_layered_scan(*args)
+    rng = _rng(23)
+    cases = []
+    for n_docs in SCAN_DOCS:
+        body = _random_body(rng, n_docs * length + rng.randrange(length))
+        ids: list[int] = []
+        count, checksum = scan(body, 0, 0, ids)
+        assert (count, checksum) == (len(ids), _folded(ids, 0, 0))
+        if n_docs <= 65:  # the reference walk against per-document runs
+            docs = (body[d * length : (d + 1) * length] for d in range(n_docs))
+            assert ids == [d for d, doc in enumerate(docs) if dfa.accepts(doc)]
+        cases.append((body, ids))
+    return args, cases
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("shape", SCAN_SHAPES, ids=lambda s: f"len{2 * s[0] * s[1]}")
-def test_layered_scan_matches(other, shape):
+@pytest.mark.parametrize("c, w, columns, relation", SCAN_SHAPES)
+def test_layered_scan_matches(other, c, w, columns, relation):
+    args, cases = _scan_case(c, w, columns, relation)
+    ours = other.make_layered_scan(*args)
+    for k, (body, ids) in enumerate(cases):
+        checksum, base = FOLD_STARTS[k % len(FOLD_STARTS)]
+        expected = (len(ids), _folded(ids, checksum, base))
+        if k % 2:
+            assert ours(body, checksum, base) == expected, len(body)
+            continue
+        collected: list[int] = []
+        assert ours(body, checksum, base, collected) == expected, len(body)
+        assert collected == [base + i for i in ids]
+    length = args[-1]
+    bad_body = "a" * (length + 1) + "c" + "b" * (length - 2)
+    bad_tail = "b" * length + "é"
+    # Past the numpy scan's first slice, whose matches are then dropped.
+    late = 66_000 * length
+    bad_late = cases[-1][0][:late] + "c" + cases[-1][0][late + 1 :]
+    for body, offset in ((bad_body, length + 1), (bad_tail, length), (bad_late, late)):
+        for scan in (ours, REFERENCE.make_layered_scan(*args)):
+            collected = [-1]
+            with pytest.raises(SymbolError) as info:
+                scan(body, 0, 0, collected)
+            assert (info.value.offset, info.value.char) == (offset, body[offset])
+            assert collected == [-1]
+
+
+@lru_cache(maxsize=None)
+def _fold_cases():
+    """Bodies of two-character documents for the one-character-row
+    ``match`` DFA, which matches a document iff it is ``aa`` or ``bb``,
+    with the reference scan's match ids per body."""
     from repro.extract import compile_scanner, relation_pairs
 
-    c, w, columns = shape
-    compiled = compile_scanner(c, w, columns, relation_pairs("match", w))
-    dfa, length = compiled.dfa, compiled.doc_len
-    args = (dfa.tables, dfa.initial, dfa.accepting_mask, length)
-    ours, theirs = other.make_layered_scan(*args), REFERENCE.make_layered_scan(*args)
-    rng = _rng(23)
-    for n_docs in (0, 1, 63, 64, 65, 5000):
-        body = "".join(rng.choices("ab", k=n_docs * length))
-        expected = theirs(body)
-        assert ours(body) == expected, n_docs
-        if n_docs <= 65:  # the reference walk against per-document runs
-            docs = (body[d * length : (d + 1) * length] for d in range(n_docs))
-            assert expected == sum(1 << d for d, doc in enumerate(docs) if dfa.accepts(doc))
-    bad = "a" * (length + 1) + "c" + "b" * (length - 2)
-    for scan in (ours, theirs):
-        with pytest.raises(SymbolError) as info:
-            scan(bad)
-        assert (info.value.offset, info.value.char) == (length + 1, "c")
+    dfa = compile_scanner(1, 1, (1,), relation_pairs("match", 1)).dfa
+    args = (dfa.tables, dfa.initial, dfa.accepting_mask, 2)
+    scan = REFERENCE.make_layered_scan(*args)
+    # Every document matching crosses the numpy fold's table and slice
+    # edges at exactly the body's size; the rest match none or a few.
+    bodies = ["aa" * n_docs for n_docs in (1, 63, 64, 65, 4095, 4096, 4097, 1 << 16, 70_000)]
+    bodies += ["ab" * 5000, "aa" * 70_000 + "b"]
+    sparse = ["ab"] * 70_000
+    for d in _rng(25).sample(range(70_000), 3):
+        sparse[d] = "bb"
+    bodies.append("".join(sparse))
+    cases = []
+    for body in bodies:
+        ids: list[int] = []
+        assert scan(body, 0, 0, ids) == (len(ids), _folded(ids, 0, 0))
+        cases.append((body, ids))
+    return args, cases
 
 
 @pytest.mark.filterwarnings("error")
 def test_fold_indices_matches(other):
-    rng = _rng(25)
-    top = (1 << 64) - 1
-    masks = [0, 1, 1 << 63, top, (1 << 5000) - 1, *_masks(rng, 4, 5000)]
-    masks.append(sum(1 << rng.randrange(5000) for _ in range(3)))
-    for mask in masks:
-        for checksum in (0, top, top - rng.getrandbits(20)):
-            for base in (0, 1 << 40, (1 << 40) + rng.getrandbits(30), top):
-                expected = REFERENCE.fold_indices(mask, checksum, base)
-                assert other.fold_indices(mask, checksum, base) == expected
+    args, cases = _fold_cases()
+    ours = other.make_layered_scan(*args)
+    for body, ids in cases:
+        for k, (checksum, base) in enumerate(FOLD_STARTS):
+            expected = (len(ids), _folded(ids, checksum, base))
+            if k % 2:
+                assert ours(body, checksum, base) == expected, (len(body), k)
+                continue
+            collected: list[int] = []
+            assert ours(body, checksum, base, collected) == expected, (len(body), k)
+            assert collected == [base + i for i in ids]
 
 
 def test_fold_indices_frozen_oracle():
-    assert REFERENCE.fold_indices(0, 77, 5) == (0, 77)
+    # One-character documents matching iff "b": documents 0, 1 and 3 of "bbab".
+    scan = REFERENCE.make_layered_scan([[2, 2, 2], [1, 2, 2]], 0, 0b10, 1)
+    assert scan("aa", 77, 5) == (0, 77)
+    ids: list[int] = []
     expected = fold_checksum(fold_checksum(fold_checksum(9, 10), 11), 13)
-    assert REFERENCE.fold_indices(0b1011, 9, 10) == (3, expected)
+    assert scan("bbab", 9, 10, ids) == (3, expected)
+    assert ids == [10, 11, 13]
 
 
 # ----------------------------------------------------------------------
@@ -485,11 +570,9 @@ def test_delegates_to_reports_the_defining_class():
     assert delegates_to(words, "bareiss_rank") == "reference"
     assert delegates_to(words, "mat_mul") == "reference"
     assert delegates_to(words, "max_bilinear") == "reference"
-    # The extraction body kernels: numpy owns both, words inherits them.
-    numpy_backend = BACKEND_CLASSES["numpy"]()
-    for method in ("make_layered_scan", "fold_indices"):
-        assert delegates_to(words, method) == "reference"
-        assert delegates_to(numpy_backend, method) == "numpy"
+    # The extraction scan: numpy owns it, words inherits it.
+    assert delegates_to(words, "make_layered_scan") == "reference"
+    assert delegates_to(BACKEND_CLASSES["numpy"](), "make_layered_scan") == "numpy"
     with pytest.raises(AttributeError):
         delegates_to(words, "not_a_kernel")
 
@@ -533,10 +616,9 @@ def test_cext_delegation_rules():
     assert CextBackend.mat_mul is ReferenceBackend.mat_mul
     assert CextBackend.max_bilinear is ReferenceBackend.max_bilinear
     assert CextBackend.make_binary_step is ReferenceBackend.make_binary_step
-    # The extraction body scan and fold stay the reference walk; its fold
-    # calls self.bit_indices, so the C kernel still runs inside it.
+    # The extraction scan stays the reference walk; it expands its accept
+    # mask with self.bit_indices, so the C kernel still runs inside it.
     assert CextBackend.make_layered_scan is ReferenceBackend.make_layered_scan
-    assert CextBackend.fold_indices is ReferenceBackend.fold_indices
 
 
 @pytest.mark.skipif("cext" not in available_backends(), reason="cext not built")

@@ -5,13 +5,15 @@ The load-bearing suite is ``TestChunkBoundaries``: for every chunk size
 in a window around the document length, the chunked scan must reproduce
 the single-chunk scan and both oracles bit-exactly — matches straddling
 a boundary at every possible offset are exercised by construction.  CI
-runs this file under both the ``reference`` and ``words`` backends.
+runs this file under the ``reference``, ``words`` and ``numpy`` backends.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -324,13 +326,15 @@ class TestChunkBoundaries:
 #: Chunks of 4-character documents that put one foreign character in the
 #: head (finishing a carried document), the body (whole documents: once
 #: in a phase column that also holds a ``b``, once alone, as in
-#: ``"aaac" + "aaaa" * 3``) or the tail (starting a carried document),
-#: with its offset in the last chunk.
+#: ``"aaac" + "aaaa" * 3``), the tail (starting a carried document) or a
+#: chunk that only extends the carried document, with its offset in the
+#: last chunk.
 FOREIGN_PLACEMENTS = {
     "head": (["ab", "a{}abab"], 1),
     "body-with-b": (["aaab" * 2 + "aaa{}" + "aaaa"], 11),
     "body": (["aaa{}" + "aaaa" * 3], 3),
     "tail": (["abab" * 2 + "a{}"], 9),
+    "carry-only": (["abab" + "a", "a{}"], 1),
 }
 
 
@@ -341,14 +345,53 @@ def test_foreign_characters_raise_a_typed_error(backend, placement, char):
     chunks, offset = FOREIGN_PLACEMENTS[placement]
     spec = StreamSpec(c=2, w=1, columns=(1, 2), n_docs=0)
     with use_backend(backend):
-        scanner = StreamScanner(scanner_for_spec(spec))
+        scanner = StreamScanner(scanner_for_spec(spec), collect_ids=True)
     state = scanner.new_state()
     *head, last = [chunk.format(char) for chunk in chunks]
     for chunk in head:
         scanner.feed(state, chunk)
+    before = dataclasses.replace(state, match_ids=list(state.match_ids))
     with pytest.raises(ReproError, match=f"{char!r} at offset {offset}") as info:
         scanner.feed(state, last)
     assert (info.value.offset, info.value.char) == (offset, char)
+    assert state == before  # a rejected chunk leaves the state as it was
+    if state.carry:
+        with pytest.raises(ValueError, match="mid-document"):
+            scanner.finish(state)
+
+
+@pytest.mark.skipif("numpy" not in available_backends(), reason="numpy is not importable")
+def test_numpy_feed_memory_is_bounded():
+    # Chunks of 1,000,000 and 1,200,000 documents, every one matching: the
+    # scan works in slices of at most 2^16 documents, so a feed's peak stays
+    # under 1.5x the chunk (a carried document costs one copy of it), and
+    # the checksum's powers table stops growing at 2^16 entries.
+    from repro.backend import numpy_backend
+
+    spec = StreamSpec(c=5, w=2, columns=(1, 2, 3, 4, 5), n_docs=0)
+    with use_backend("numpy"):
+        scanner = StreamScanner(scanner_for_spec(spec))
+    tables = []
+    for n_docs, carry in ((1_000_000, ""), (1_200_000, "ab")):
+        state = scanner.new_state()
+        scanner.feed(state, carry)
+        chunk = "a" * (n_docs * spec.doc_len - len(carry))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            scanner.feed(state, chunk)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak - before < 1.5 * len(chunk), (n_docs, peak - before)
+        assert (state.docs_done, state.matches, state.carry) == (n_docs, n_docs, "")
+        tables.append(numpy_backend._inverse_powers_table)
+    assert len(tables[0]) <= 1 << 16
+    assert tables[1] is tables[0]
 
 
 # ----------------------------------------------------------------------
@@ -557,8 +600,8 @@ class TestBackendRouting:
         compiled = scanner_for_spec(SPEC)
         with use_backend("reference"):
             scanner = StreamScanner(compiled)
-            # Scanners of one compiled query share one body kernel.
-            assert StreamScanner(compiled)._scan_body is scanner._scan_body
+            # Scanners of one compiled query share one kernel.
+            assert StreamScanner(compiled)._scan is scanner._scan
         with use_backend("words"):
             result = scanner.scan_chunks([SPEC.text()])
             assert get_backend().name == "words"
