@@ -51,7 +51,7 @@ import os
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Protocol, runtime_checkable
+from typing import Any, Protocol, runtime_checkable
 
 from repro.backend.cext import CextBackend
 from repro.backend.numpy_backend import NumpyBackend, numpy_version
@@ -123,13 +123,22 @@ class Backend(Protocol):
     ) -> Callable[[int, int], int]: ...
 
     # document-parallel extraction scanning, with the checksum fold
+    def find_foreign(self, data: bytes) -> int: ...
     def make_layered_scan(
         self,
         tables: Sequence[Sequence[int]],
         initial: int,
         accepting_mask: int,
         doc_len: int,
-    ) -> Callable[..., tuple[int, int]]: ...
+    ) -> Any: ...
+    def layered_scan(
+        self,
+        kernel: Any,
+        body: bytes,
+        checksum: int,
+        base: int,
+        ids: list[int] | None = None,
+    ) -> tuple[int, int]: ...
 
 
 #: Registered backend classes, in definition order.  To add a backend,

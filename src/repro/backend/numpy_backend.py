@@ -20,22 +20,26 @@ size tried — so it is inherited, not vectorised).  What survives:
   SWAR sweep within the guards below.  Inputs that could overflow int64
   or blow the memory cap fall back to the inherited SWAR kernel, so
   results stay bit-exact for every input.
-* :meth:`NumpyBackend.make_layered_scan` — the extraction scan.  The
-  factory composes the DFA's transition table into *block tables* over
-  ``_SCAN_BLOCK`` = 4 characters, one per block of the document, each
-  over the states reachable where its block starts, numbered locally
-  (a final partial block gets a narrower table, folded straight into
-  acceptance).  A call views the documents' bytes as one little-endian
-  uint32 per block, turns each into its 4-bit code with one multiply,
-  and runs ``⌈L/4⌉`` gathers ``q = T_j[q, code]`` over all documents at
-  once.  A document costs the same however many DFA states are live,
-  where the inherited occupancy walk pays one Python iteration per
-  live state per phase (up to 1,024 for a 5-column query).  The same
-  call folds the matches into the checksum in closed form — one
-  wrapping uint64 dot against inverse powers of the multiplier —
-  instead of one Python call per match.  It works in slices of at most
-  ``_SCAN_SLICE`` documents, so its temporaries and the powers table
-  stay bounded whatever the body's size.
+* :meth:`NumpyBackend.make_layered_scan` / :meth:`NumpyBackend.layered_scan`
+  — the extraction scan.  The factory composes the DFA's transition
+  table into *block tables* over ``_SCAN_BLOCK`` = 4 characters, one
+  per block of the document, each over the states reachable where its
+  block starts, numbered locally (a final partial block gets a
+  narrower table, folded straight into acceptance).  A scan views the
+  checked documents' bytes as one little-endian uint32 per block, turns
+  each into its 4-bit code with one multiply, and runs ``⌈L/4⌉``
+  gathers ``q = T_j[q, code]`` over all documents at once.  A document
+  costs the same however many DFA states are live, where the inherited
+  occupancy walk pays one Python iteration per live state per phase
+  (up to 1,024 for a 5-column query).  The same call folds the matches
+  into the checksum in closed form — one wrapping uint64 dot against
+  inverse powers of the multiplier — instead of one Python call per
+  match.  It works in slices of at most ``SCAN_SLICE`` documents, so
+  its temporaries and the powers table stay bounded whatever the
+  body's size.  It does not check the body: ``StreamScanner`` checks
+  each chunk as it arrives, with :meth:`NumpyBackend.find_foreign` —
+  the byte array's min and max on wide chunks, the inherited
+  delete-translate on narrow ones.
 
 Everything else — chunked step tables, xor-basis GF(2), word-at-a-time
 scans, and the inherited reference kernels — comes from
@@ -44,10 +48,11 @@ scans, and the inherited reference kernels — comes from
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
+from typing import Any
 
 from repro.backend.limbs import mask_to_bytes
-from repro.backend.reference import CHECKSUM_MULTIPLIER, foreign_symbol, iter_bits
+from repro.backend.reference import CHECKSUM_MULTIPLIER, SCAN_SLICE, iter_bits
 from repro.backend.words import WordsBackend
 
 __all__ = ["NumpyBackend", "numpy_version"]
@@ -69,9 +74,10 @@ _BILINEAR_CELL_CAP = 1 << 22
 #: Characters per block-table gather in the extraction scan: 16 successors
 #: per state, and a block of the body's bytes is one uint32 word.
 _SCAN_BLOCK = 4
-#: Documents per slice of the extraction scan, which bounds the scan's
-#: temporaries and the checksum's powers table whatever the body's size.
-_SCAN_SLICE = 1 << 16
+#: Chunk bytes below which the symbol check delegates: the inherited
+#: delete-translate costs ~0.3 ns a byte, the byte array's min and max
+#: ~2.2 µs a call, so they cross near 7 KB.
+_CHECK_MIN_BYTES = 1 << 13
 _U64 = (1 << 64) - 1
 #: ``M^-1 mod 2^64``: the multiplier is odd, so it is a unit mod 2^64.
 _INVERSE_MULTIPLIER = pow(CHECKSUM_MULTIPLIER, -1, 1 << 64)
@@ -83,7 +89,7 @@ def _inverse_powers(count: int):
 
     One table serves the whole process.  It is regrown to the next power
     of two when a slice has more matches than it covers, so it never
-    holds more than ``_SCAN_SLICE`` entries.  uint64 arrays wrap
+    holds more than ``SCAN_SLICE`` entries.  uint64 arrays wrap
     silently; numpy *scalar* arithmetic would warn.
     """
     global _inverse_powers_table
@@ -94,6 +100,31 @@ def _inverse_powers(count: int):
         powers.flags.writeable = False
         _inverse_powers_table = powers
     return powers
+
+
+def _accepted(raw, doc_len: int, steps, final):
+    """Indices of the documents of ``raw`` — whole ``doc_len``-byte ones —
+    that the block tables ``steps`` and ``final`` accept."""
+    n_docs = len(raw) // doc_len
+    n_blocks = len(steps) + 1
+    padded = n_blocks * _SCAN_BLOCK
+    if padded != doc_len:
+        wide = _np.zeros((n_docs, padded), dtype=_np.uint8)
+        wide[:, :doc_len] = raw.reshape(n_docs, doc_len)
+        raw = wide
+    # Bit 1 of a byte is its b-bit ('a' = 0x61, 'b' = 0x62, padding 0);
+    # the multiply moves the four b-bits of a little-endian uint32 block
+    # to bits 28..31 without carries, the rest off the top.  Row j of
+    # ``codes`` is block j of every document.
+    codes = raw.view("<u4").reshape(n_docs, n_blocks) & 0x02020202
+    codes *= 0x08102040
+    codes >>= 28
+    codes = codes.T.astype(_np.intp, order="C")
+    rows = codes[0]  # the initial state is row 0 of block 0
+    for j, step in enumerate(steps, 1):
+        rows = step[rows]
+        rows += codes[j]
+    return _np.flatnonzero(final[rows])
 
 
 class NumpyBackend(WordsBackend):
@@ -130,13 +161,21 @@ class NumpyBackend(WordsBackend):
         )
         return _np.flatnonzero(bits).tolist()
 
+    def find_foreign(self, data: bytes) -> int:
+        if len(data) < _CHECK_MIN_BYTES:
+            return super().find_foreign(data)
+        raw = _np.frombuffer(data, dtype=_np.uint8)
+        if raw.min() >= 0x61 and raw.max() <= 0x62:
+            return -1
+        return int(_np.argmax((raw < 0x61) | (raw > 0x62)))
+
     def make_layered_scan(
         self,
         tables: Sequence[Sequence[int]],
         initial: int,
         accepting_mask: int,
         doc_len: int,
-    ) -> Callable[..., tuple[int, int]]:
+    ) -> Any:
         one = _np.array(tables, dtype=_np.intp).T
         n_states = len(one)
         accepting = _np.zeros(n_states, dtype=bool)
@@ -169,61 +208,37 @@ class NumpyBackend(WordsBackend):
                 layer = _np.flatnonzero(reached)
                 local[layer] = _np.arange(len(layer)) * stride
                 steps.append(local[after].ravel())
-        n_blocks = len(steps) + 1
-        padded = n_blocks * _SCAN_BLOCK
+        return doc_len, steps, final
 
-        def accepted(raw, n_docs: int):
-            """Indices of the accepted documents among the first ``n_docs`` of ``raw``."""
-            raw = raw[: n_docs * doc_len]
-            if padded != doc_len:
-                wide = _np.zeros((n_docs, padded), dtype=_np.uint8)
-                wide[:, :doc_len] = raw.reshape(n_docs, doc_len)
-                raw = wide
-            # Bit 1 of a byte is its b-bit ('a' = 0x61, 'b' = 0x62, padding
-            # 0); the multiply moves the four b-bits of a little-endian
-            # uint32 block to bits 28..31 without carries, the rest off
-            # the top.  Row j of ``codes`` is block j of every document.
-            codes = raw.view("<u4").reshape(n_docs, n_blocks) & 0x02020202
-            codes *= 0x08102040
-            codes >>= 28
-            codes = codes.T.astype(_np.intp, order="C")
-            rows = codes[0]  # the initial state is row 0 of block 0
-            for j, step in enumerate(steps, 1):
-                rows = step[rows]
-                rows += codes[j]
-            return _np.flatnonzero(final[rows])
-
-        def scan(body: str, checksum: int, base: int, ids: list[int] | None = None):
-            n_docs = len(body) // doc_len
-            mark = 0 if ids is None else len(ids)
-            count = 0
-            for lo in range(0, max(n_docs, 1), _SCAN_SLICE):
-                hi = min(lo + _SCAN_SLICE, n_docs)
-                # The last slice also holds the partial document after the
-                # whole ones: checked, not scanned.
-                part = body[lo * doc_len : hi * doc_len if hi < n_docs else None]
-                raw = _np.frombuffer(part.encode("ascii", "replace"), dtype=_np.uint8)
-                if part and (raw.min() < 0x61 or raw.max() > 0x62):
-                    if ids is not None:
-                        del ids[mark:]
-                    raise foreign_symbol(part, lo * doc_len)
-                matched = accepted(raw, hi - lo)
-                found = len(matched)
-                if not found:
-                    continue
-                # Horner in closed form over the values v_j = id_j + 1, in
-                # order: checksum' = M^m (checksum + Σ_j v_j M^-j) mod 2^64.
-                offset = base + lo
-                values = matched.astype(_np.uint64)
-                values += _np.uint64((offset + 1) & _U64)
-                total = int(_np.dot(values, _inverse_powers(found)[:found]))
-                checksum = (checksum + total) * pow(CHECKSUM_MULTIPLIER, found, 1 << 64) & _U64
-                if ids is not None:
-                    ids.extend(map(offset.__add__, matched.tolist()))
-                count += found
-            return count, checksum
-
-        return scan
+    def layered_scan(
+        self,
+        kernel: Any,
+        body: bytes,
+        checksum: int,
+        base: int,
+        ids: list[int] | None = None,
+    ) -> tuple[int, int]:
+        doc_len, steps, final = kernel
+        raw = _np.frombuffer(body, dtype=_np.uint8)
+        n_docs = len(raw) // doc_len
+        count = 0
+        for lo in range(0, n_docs, SCAN_SLICE):
+            hi = min(lo + SCAN_SLICE, n_docs)
+            matched = _accepted(raw[lo * doc_len : hi * doc_len], doc_len, steps, final)
+            found = len(matched)
+            if not found:
+                continue
+            # Horner in closed form over the values v_j = id_j + 1, in
+            # order: checksum' = M^m (checksum + Σ_j v_j M^-j) mod 2^64.
+            offset = base + lo
+            values = matched.astype(_np.uint64)
+            values += _np.uint64((offset + 1) & _U64)
+            total = int(_np.dot(values, _inverse_powers(found)[:found]))
+            checksum = (checksum + total) * pow(CHECKSUM_MULTIPLIER, found, 1 << 64) & _U64
+            if ids is not None:
+                ids.extend(map(offset.__add__, matched.tolist()))
+            count += found
+        return count, checksum
 
     def max_bilinear(self, base: list[list[int]]) -> int:
         dim = len(base)

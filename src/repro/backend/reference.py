@@ -19,8 +19,11 @@ verbatim, byte-for-byte in behaviour:
   arithmetic;
 * :meth:`~ReferenceBackend.make_binary_step` — the CNF bitset
   binary-rule step of :mod:`repro.kernel.chart`;
-* :meth:`~ReferenceBackend.make_layered_scan` — the document-parallel
-  occupancy walk of :mod:`repro.extract.scan`, with the match-set
+* :meth:`~ReferenceBackend.find_foreign` — the symbol check each chunk
+  of :mod:`repro.extract.scan` passes as it arrives;
+* :meth:`~ReferenceBackend.make_layered_scan` /
+  :meth:`~ReferenceBackend.layered_scan` — the document-parallel
+  occupancy walk that scans the checked documents, with the match-set
   checksum fold.
 
 Other backends subclass this one and override only the kernels they can
@@ -32,15 +35,14 @@ the same function object), which the differential tests and the
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-
-from repro.errors import SymbolError
+from typing import Any
 
 __all__ = [
     "ReferenceBackend",
     "CHECKSUM_MULTIPLIER",
+    "SCAN_SLICE",
     "fold_checksum",
     "fold_rows",
-    "foreign_symbol",
     "iter_bits",
 ]
 
@@ -49,11 +51,13 @@ __all__ = [
 CHECKSUM_MULTIPLIER = 1000003
 _U64 = (1 << 64) - 1
 
-#: Translation table of the reference body scan: ``a`` -> ``0``, ``b`` ->
-#: ``1``, every other ASCII character -> ``?``, so one ``in`` test finds a
-#: foreign character (mapping all of ASCII keeps ``str.translate`` on its
-#: fast path).
-_TO_BITS = str.maketrans({chr(i): {97: "0", 98: "1"}.get(i, "?") for i in range(128)})
+#: Documents per slice of the extraction scan: ``StreamScanner`` defers
+#: fewer than this many checked documents before it calls the kernel, and
+#: the numpy kernel works in slices of this many.
+SCAN_SLICE = 1 << 16
+
+#: Translation table of the reference body scan: ``a`` -> ``0``, ``b`` -> ``1``.
+_TO_BITS = bytes.maketrans(b"ab", b"01")
 
 
 def iter_bits(mask: int):
@@ -78,16 +82,6 @@ def fold_checksum(checksum: int, doc_id: int) -> int:
     True
     """
     return (checksum * CHECKSUM_MULTIPLIER + doc_id + 1) & _U64
-
-
-def foreign_symbol(text: str, start: int = 0) -> SymbolError:
-    """The error for the first character of ``text`` outside ``{a, b}``.
-
-    Its offset is shifted by ``start``, the position of ``text`` in the
-    caller's chunk.  Only called once a scan has found such a character.
-    """
-    offset = next(i for i, ch in enumerate(text) if ch not in "ab")
-    return SymbolError(start + offset, text[offset])
 
 
 def fold_rows(table: Sequence[int], mask: int) -> int:
@@ -210,35 +204,33 @@ class ReferenceBackend:
 
     # -- document-parallel scanning ------------------------------------
 
+    def find_foreign(self, data: bytes) -> int:
+        """The offset of the first byte of ``data`` other than ``a``/``b``, or -1.
+
+        ``StreamScanner`` checks each chunk with this as it arrives,
+        encoded as ASCII with ``?`` for every other character, so the
+        scan kernels only ever see checked text.  One C-level pass
+        deletes ``a`` and ``b``; what is left starts with the first
+        foreign byte.
+        """
+        foreign = data.translate(None, b"ab")
+        return data.find(foreign[:1]) if foreign else -1
+
     def make_layered_scan(
         self,
         tables: Sequence[Sequence[int]],
         initial: int,
         accepting_mask: int,
         doc_len: int,
-    ) -> Callable[..., tuple[int, int]]:
-        """A ``scan(body, checksum, base, ids=None)`` closure for a complete
-        DFA over ``{a, b}``.
+    ) -> Any:
+        """The kernel :meth:`layered_scan` runs for a complete DFA over ``{a, b}``.
 
-        ``tables[0]`` / ``tables[1]`` are the successors on ``a`` / ``b``.
-        ``body`` is a run of whole ``doc_len``-character documents,
-        optionally followed by the start of one more, which is checked
-        but not scanned.  A character outside ``{a, b}`` anywhere in
-        ``body`` raises :class:`~repro.errors.SymbolError` naming its
-        offset in ``body``, before anything else happens.  Otherwise the
-        call returns ``(count, checksum)``: the number of accepted
-        documents, and ``checksum`` after folding ``base + d`` for each
-        accepted document ``d``, ascending, with :func:`fold_checksum`.
-        When ``ids`` is a list, those ``base + d`` are appended to it.
-
-        The walk: the body is transposed into one bit column per phase
-        (``a`` -> 0, ``b`` -> 1, document ``d`` at bit ``d``), and an
-        occupancy map ``{state: doc-mask}`` advances *all* documents one
-        phase per step, one ``&``/``^`` pair per live state.  Documents
-        entering a sink — a non-accepting state looping to itself on
-        both symbols — drop out of the masks.  The accepted documents
-        come from ``self.bit_indices``, so a backend that inherits this
-        walk still runs its own set-bit expansion.
+        ``tables[0]`` / ``tables[1]`` are the successors on ``a`` / ``b``
+        and every document is ``doc_len`` characters long.  The kernel is
+        opaque to callers and belongs to the backend that built it; here
+        it holds the successor tables with every transition into the
+        sink — a non-accepting state looping to itself on both symbols —
+        cut to -1.
         """
         n_states = len(tables[0])
         sink = [
@@ -246,48 +238,70 @@ class ReferenceBackend:
             for q in range(n_states)
         ]
         table_a, table_b = ([-1 if sink[succ] else succ for succ in table] for table in tables)
-        accept_states = list(iter_bits(accepting_mask))
-        bit_indices = self.bit_indices
+        return doc_len, initial, table_a, table_b, list(iter_bits(accepting_mask))
 
-        def scan(body: str, checksum: int, base: int, ids: list[int] | None = None):
-            bits = body.translate(_TO_BITS)
-            if not body.isascii() or "?" in bits:
-                raise foreign_symbol(body)
-            n_docs = len(body) // doc_len
-            # Occupancy: DFA state -> mask of documents currently in it.
-            # A column's bit for a trailing partial document lies outside
-            # every mask, so it is never read.
-            occupancy = {initial: (1 << n_docs) - 1}
-            for t in range(doc_len):
-                # Bit-column for phase t: document d contributes bit d.
-                column = bits[t::doc_len]
-                col_bits = int(column[::-1], 2) if "1" in column else 0
-                advanced: dict[int, int] = {}
-                for q, mask in occupancy.items():
-                    on_b = mask & col_bits
-                    on_a = mask ^ on_b
-                    if on_a:
-                        successor = table_a[q]
-                        if successor >= 0:
-                            advanced[successor] = advanced.get(successor, 0) | on_a
-                    if on_b:
-                        successor = table_b[q]
-                        if successor >= 0:
-                            advanced[successor] = advanced.get(successor, 0) | on_b
-                occupancy = advanced
-                if not occupancy:
-                    break
-            accept_mask = 0
-            for q in accept_states:
-                accept_mask |= occupancy.get(q, 0)
-            matched = bit_indices(accept_mask) if accept_mask else []
-            for offset in matched:
-                checksum = fold_checksum(checksum, base + offset)
-            if ids is not None:
-                ids.extend(base + offset for offset in matched)
-            return len(matched), checksum
+    def layered_scan(
+        self,
+        kernel: Any,
+        body: bytes,
+        checksum: int,
+        base: int,
+        ids: list[int] | None = None,
+    ) -> tuple[int, int]:
+        """Scan the whole documents of ``body`` with a :meth:`make_layered_scan` kernel.
 
-        return scan
+        ``body`` is checked text — bytes-like, ``a``/``b`` only (see
+        :meth:`find_foreign`); it is not checked again.  It holds whole
+        documents, optionally followed by the start of one more, which
+        is ignored.  Returns ``(count, checksum)``: the number of
+        accepted documents, and ``checksum`` after folding ``base + d``
+        for each accepted document ``d``, ascending, with
+        :func:`fold_checksum`.  When ``ids`` is a list, those ``base + d``
+        are appended to it.
+
+        The walk: the body is transposed into one bit column per phase
+        (``a`` -> 0, ``b`` -> 1, document ``d`` at bit ``d``), and an
+        occupancy map ``{state: doc-mask}`` advances *all* documents one
+        phase per step, one ``&``/``^`` pair per live state.  Documents
+        entering the sink drop out of the masks.  The accepted documents
+        come from ``self.bit_indices``, so a backend that inherits this
+        walk still runs its own set-bit expansion.
+        """
+        doc_len, initial, table_a, table_b, accept_states = kernel
+        bits = bytes(body).translate(_TO_BITS)
+        n_docs = len(body) // doc_len
+        # Occupancy: DFA state -> mask of documents currently in it.
+        # A column's bit for a trailing partial document lies outside
+        # every mask, so it is never read.
+        occupancy = {initial: (1 << n_docs) - 1}
+        for t in range(doc_len):
+            # Bit-column for phase t: document d contributes bit d.
+            column = bits[t::doc_len]
+            col_bits = int(column[::-1], 2) if b"1" in column else 0
+            advanced: dict[int, int] = {}
+            for q, mask in occupancy.items():
+                on_b = mask & col_bits
+                on_a = mask ^ on_b
+                if on_a:
+                    successor = table_a[q]
+                    if successor >= 0:
+                        advanced[successor] = advanced.get(successor, 0) | on_a
+                if on_b:
+                    successor = table_b[q]
+                    if successor >= 0:
+                        advanced[successor] = advanced.get(successor, 0) | on_b
+            occupancy = advanced
+            if not occupancy:
+                break
+        accept_mask = 0
+        for q in accept_states:
+            accept_mask |= occupancy.get(q, 0)
+        matched = self.bit_indices(accept_mask) if accept_mask else []
+        for offset in matched:
+            checksum = fold_checksum(checksum, base + offset)
+        if ids is not None:
+            ids.extend(base + offset for offset in matched)
+        return len(matched), checksum
 
     # -- exact linear algebra -----------------------------------------
 

@@ -26,9 +26,10 @@ out of the occupancy masks at the sink.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Any
 
 from repro.automata.nfa import NFA
 from repro.automata.packed import PackedDFA, PackedNFA, packed_fixed_length_minimal
@@ -136,7 +137,7 @@ class CompiledScanner:
     layers: tuple[tuple[int, ...], ...]
     nfa_states: int
     det_states: int
-    _scans: dict[str, Callable[..., tuple[int, int]]] = field(
+    _kernels: dict[str, Any] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -161,7 +162,7 @@ class CompiledScanner:
     def accepts(self, document: str) -> bool:
         return self.dfa.accepts(document)
 
-    def layered_scan(self, backend: Backend) -> Callable[..., tuple[int, int]]:
+    def scan_kernel(self, backend: Backend) -> Any:
         """``backend.make_layered_scan`` for this DFA, built on first use.
 
         ``extract.scan`` builds a ``StreamScanner`` per request or shard,
@@ -169,13 +170,13 @@ class CompiledScanner:
         DFA) is kept here, one per backend name, for as long as this
         scanner stays compiled.
         """
-        scan = self._scans.get(backend.name)
-        if scan is None:
+        kernel = self._kernels.get(backend.name)
+        if kernel is None:
             dfa = self.dfa
-            scan = self._scans[backend.name] = backend.make_layered_scan(
+            kernel = self._kernels[backend.name] = backend.make_layered_scan(
                 dfa.tables, dfa.initial, dfa.accepting_mask, self.doc_len
             )
-        return scan
+        return kernel
 
     def to_key(self) -> tuple:
         return ("scanner", self.c, self.w, self.columns, self.pairs)

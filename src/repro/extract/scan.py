@@ -1,20 +1,23 @@
 """Constant-memory chunked scanning with document-parallel bit kernels.
 
 The scanner consumes a stream of chunks whose boundaries fall anywhere.
-It carries the unfinished document between chunks as a string shorter
-than the document length (:class:`ScanState`'s ``carry``).  Per chunk,
-``carry + chunk`` goes to the backend's ``make_layered_scan`` kernel in
-**one call**: the kernel checks every character, scans the whole
-documents *in parallel across documents* — the reference occupancy walk
-over per-phase bit columns, or numpy's block-table gathers — counts the
-matches and folds their ids into the checksum.  What is left after the
-last whole document becomes the next carry.
+Each chunk is **checked as it arrives**: encoded as ASCII and handed to
+the backend's ``find_foreign``, so a character other than ``a``/``b``
+raises :class:`~repro.errors.SymbolError` with its offset in that chunk
+before anything else happens.  The checked text is then **deferred**
+(:class:`ScanState`'s ``deferred``, ending in ``carry``, the unfinished
+document) until it holds a whole slice of
+:data:`~repro.backend.reference.SCAN_SLICE` documents, or until
+``finish``.  Only then does the backend's ``layered_scan`` run — **once**,
+over every whole document — scanning them *in parallel across
+documents* (the reference occupancy walk over per-phase bit columns, or
+numpy's block-table gathers), counting the matches and folding their
+ids into the checksum.  An op of fewer than a slice of documents thus
+makes one kernel call, at ``finish``, however it is chunked.
 
 Chunking invariant: for any chunk decomposition of the same stream, the
 final ``(docs, matches, checksum, match_ids)`` are identical — every
-document is scanned whole, by the same kernel.  A character other than
-``a``/``b`` anywhere in a chunk raises
-:class:`~repro.errors.SymbolError` with its chunk offset.
+document is scanned whole, by the same kernel.
 
 Three oracles live here too: :func:`semantic_scan` (per-document brute
 force), :func:`batched_oracle_scan` (grammar-side verification through
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.backend import get_backend
-from repro.backend.reference import fold_checksum
+from repro.backend.reference import SCAN_SLICE, fold_checksum
 from repro.errors import SymbolError
 from repro.grammars.cnf import to_cnf
 from repro.kernel.batch import BatchedRecognizer
@@ -51,14 +54,21 @@ __all__ = [
 
 @dataclass
 class ScanState:
-    """A scan's accumulators, plus the unfinished document carried
-    between chunks (always shorter than the document length)."""
+    """A scan's accumulators, plus the checked text not yet scanned.
+
+    ``deferred`` holds that text as ASCII bytes: the whole documents after
+    the first ``docs_done``, then ``carry``, the unfinished document,
+    which is always shorter than the document length.  Once a second
+    chunk joins it, ``deferred`` is a ``bytearray`` that later feeds grow
+    in place.
+    """
 
     docs_done: int = 0
     matches: int = 0
     checksum: int = 0
     match_ids: list[int] | None = None
     carry: str = ""
+    deferred: bytes | bytearray = b""
 
     def result(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -76,11 +86,12 @@ class StreamScanner:
 
     The kernel backend is resolved **once, here**: the active backend
     (see :func:`repro.backend.get_backend`) when the scanner is built
-    serves every chunk it is fed, so build it inside the
-    ``use_backend`` scope that should run it.  Every chunk goes through
-    that backend's ``make_layered_scan`` kernel, built once per
-    (compiled scanner, backend) by :meth:`CompiledScanner.layered_scan`
-    and shared by every ``StreamScanner``.
+    checks and scans every chunk it is fed, so build it inside the
+    ``use_backend`` scope that should run it.  Its ``make_layered_scan``
+    kernel is built once per (compiled scanner, backend) by
+    :meth:`CompiledScanner.scan_kernel` and shared by every
+    ``StreamScanner``; both the check and the scan are calls of backend
+    methods, ``find_foreign`` and ``layered_scan``.
     """
 
     def __init__(self, compiled: CompiledScanner, *, collect_ids: bool = False):
@@ -88,38 +99,72 @@ class StreamScanner:
         self.doc_len = compiled.doc_len
         self.collect_ids = collect_ids
         self._backend = get_backend()
-        self._scan = compiled.layered_scan(self._backend)
+        self._kernel = compiled.scan_kernel(self._backend)
+        self._slice_chars = SCAN_SLICE * self.doc_len
 
     def new_state(self) -> ScanState:
         return ScanState(match_ids=[] if self.collect_ids else None)
 
     def feed(self, state: ScanState, chunk: str) -> ScanState:
-        """Consume one chunk (possibly empty) and return the new state.
+        """Check one chunk (possibly empty), defer it, and return the new state.
 
-        The carried document and ``chunk`` go to the kernel in one call.
         A character other than ``a``/``b`` raises
         :class:`~repro.errors.SymbolError` naming its offset in
-        ``chunk``; ``state`` is then unchanged.
+        ``chunk``; ``state`` is then unchanged.  Otherwise the chunk joins
+        the deferred text, and once that holds a whole slice of
+        documents, every whole document of it is scanned in this call.
         """
-        carry = state.carry
-        text = carry + chunk
-        try:
-            count, checksum = self._scan(text, state.checksum, state.docs_done, state.match_ids)
-        except SymbolError as exc:
-            raise SymbolError(exc.offset - len(carry), exc.char) from None
-        n_docs = len(text) // self.doc_len
-        state.docs_done += n_docs
-        state.matches += count
-        state.checksum = checksum
-        state.carry = text[n_docs * self.doc_len :]
+        data = chunk.encode("ascii", "replace")
+        offset = self._backend.find_foreign(data)
+        if offset >= 0:
+            raise SymbolError(offset, chunk[offset])
+        doc_len = self.doc_len
+        pending = state.deferred
+        if pending and len(data) >= self._slice_chars + doc_len:
+            # Rather than copy a chunk of a slice or more onto the deferred
+            # text, finish the carried document from the chunk's head, scan
+            # it with the deferred ones, and scan the rest of the chunk in
+            # place.
+            head = -len(pending) % doc_len
+            self._scan(state, pending + data[:head])
+            pending, data = b"", memoryview(data)[head:]
+        if not pending:
+            pending = data
+        elif data:
+            if not isinstance(pending, bytearray):
+                pending = bytearray(pending)  # grown in place from here on
+            pending += data
+        tail = len(pending) % doc_len
+        if len(pending) >= self._slice_chars:
+            self._scan(state, pending)
+            pending = bytes(pending[len(pending) - tail :])
+        state.carry = str(pending[len(pending) - tail :], "ascii")
+        state.deferred = pending
         return state
 
+    def _scan(self, state: ScanState, body) -> None:
+        """One kernel call over the whole documents of ``body``, checked
+        text that starts at document ``docs_done``; none without one."""
+        n_docs = len(body) // self.doc_len
+        if n_docs:
+            count, state.checksum = self._backend.layered_scan(
+                self._kernel, body, state.checksum, state.docs_done, state.match_ids
+            )
+            state.docs_done += n_docs
+            state.matches += count
+
     def finish(self, state: ScanState) -> dict[str, Any]:
-        """Validate end-of-stream (no dangling partial document)."""
+        """Scan the deferred documents and return the result.
+
+        A stream that ends mid-document raises ``ValueError`` and leaves
+        ``state`` unchanged.
+        """
         if state.carry:
             raise ValueError(
                 f"stream ended mid-document: {len(state.carry)}/{self.doc_len} chars"
             )
+        self._scan(state, state.deferred)
+        state.deferred = b""
         return state.result()
 
     def scan_chunks(self, chunks) -> dict[str, Any]:

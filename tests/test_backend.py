@@ -277,23 +277,24 @@ def _folded(ids: list[int], checksum: int, base: int) -> int:
 
 @lru_cache(maxsize=None)
 def _scan_case(c: int, w: int, columns: tuple[int, ...], relation: str):
-    """The DFA's factory arguments and seeded bodies (each with a trailing
-    partial document), with the reference scan's match ids per body."""
+    """The DFA's factory arguments and seeded bodies of checked text (each
+    with a trailing partial document), with the reference scan's match
+    ids per body."""
     from repro.extract import compile_scanner, relation_pairs
 
     compiled = compile_scanner(c, w, columns, relation_pairs(relation, w))
     dfa, length = compiled.dfa, compiled.doc_len
     args = (dfa.tables, dfa.initial, dfa.accepting_mask, length)
-    scan = REFERENCE.make_layered_scan(*args)
+    kernel = REFERENCE.make_layered_scan(*args)
     rng = _rng(23)
     cases = []
     for n_docs in SCAN_DOCS:
-        body = _random_body(rng, n_docs * length + rng.randrange(length))
+        body = _random_body(rng, n_docs * length + rng.randrange(length)).encode("ascii")
         ids: list[int] = []
-        count, checksum = scan(body, 0, 0, ids)
+        count, checksum = REFERENCE.layered_scan(kernel, body, 0, 0, ids)
         assert (count, checksum) == (len(ids), _folded(ids, 0, 0))
         if n_docs <= 65:  # the reference walk against per-document runs
-            docs = (body[d * length : (d + 1) * length] for d in range(n_docs))
+            docs = (body[d * length : (d + 1) * length].decode() for d in range(n_docs))
             assert ids == [d for d, doc in enumerate(docs) if dfa.accepts(doc)]
         cases.append((body, ids))
     return args, cases
@@ -303,29 +304,55 @@ def _scan_case(c: int, w: int, columns: tuple[int, ...], relation: str):
 @pytest.mark.parametrize("c, w, columns, relation", SCAN_SHAPES)
 def test_layered_scan_matches(other, c, w, columns, relation):
     args, cases = _scan_case(c, w, columns, relation)
-    ours = other.make_layered_scan(*args)
+    kernel = other.make_layered_scan(*args)
     for k, (body, ids) in enumerate(cases):
         checksum, base = FOLD_STARTS[k % len(FOLD_STARTS)]
         expected = (len(ids), _folded(ids, checksum, base))
         if k % 2:
-            assert ours(body, checksum, base) == expected, len(body)
+            assert other.layered_scan(kernel, body, checksum, base) == expected, len(body)
             continue
         collected: list[int] = []
-        assert ours(body, checksum, base, collected) == expected, len(body)
+        assert other.layered_scan(kernel, body, checksum, base, collected) == expected, len(body)
         assert collected == [base + i for i in ids]
+    # Foreign characters are the check's to find, before any scan: in a
+    # whole document, in the trailing partial one, and past the numpy
+    # scan's first slice.  A rejected chunk reaches no kernel, so no ids
+    # are appended.
+    from repro.extract import StreamScanner, compile_scanner, relation_pairs
+
     length = args[-1]
     bad_body = "a" * (length + 1) + "c" + "b" * (length - 2)
     bad_tail = "b" * length + "é"
-    # Past the numpy scan's first slice, whose matches are then dropped.
     late = 66_000 * length
-    bad_late = cases[-1][0][:late] + "c" + cases[-1][0][late + 1 :]
+    bad_late = cases[-1][0][:late].decode() + "c" + cases[-1][0][late + 1 :].decode()
+    compiled = compile_scanner(c, w, columns, relation_pairs(relation, w))
     for body, offset in ((bad_body, length + 1), (bad_tail, length), (bad_late, late)):
-        for scan in (ours, REFERENCE.make_layered_scan(*args)):
-            collected = [-1]
+        for backend in (other, REFERENCE):
+            assert backend.find_foreign(body.encode("ascii", "replace")) == offset
+            with use_backend(backend.name):
+                scanner = StreamScanner(compiled, collect_ids=True)
+            state = scanner.new_state()
             with pytest.raises(SymbolError) as info:
-                scan(body, 0, 0, collected)
+                scanner.feed(state, body)
             assert (info.value.offset, info.value.char) == (offset, body[offset])
-            assert collected == [-1]
+            assert state.match_ids == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_find_foreign_matches(other):
+    # Bodies on both sides of numpy's delegation threshold, with a foreign
+    # byte at the start, inside or at the end, including the neighbours of
+    # 'a' and 'b' (0x60, 0x63) that a min/max test must not miss.
+    rng = _rng(29)
+    for n_chars in (0, 1, 8191, 8192, 8193, 100_000):
+        body = _random_body(rng, n_chars).encode("ascii")
+        assert other.find_foreign(body) == REFERENCE.find_foreign(body) == -1
+        if not n_chars:
+            continue
+        for at in sorted({0, n_chars // 2, rng.randrange(n_chars), n_chars - 1}):
+            for byte in b"`c?\x00\xff":
+                bad = body[:at] + bytes([byte]) + body[at + 1 :]
+                assert other.find_foreign(bad) == REFERENCE.find_foreign(bad) == at
 
 
 @lru_cache(maxsize=None)
@@ -337,19 +364,19 @@ def _fold_cases():
 
     dfa = compile_scanner(1, 1, (1,), relation_pairs("match", 1)).dfa
     args = (dfa.tables, dfa.initial, dfa.accepting_mask, 2)
-    scan = REFERENCE.make_layered_scan(*args)
+    kernel = REFERENCE.make_layered_scan(*args)
     # Every document matching crosses the numpy fold's table and slice
     # edges at exactly the body's size; the rest match none or a few.
-    bodies = ["aa" * n_docs for n_docs in (1, 63, 64, 65, 4095, 4096, 4097, 1 << 16, 70_000)]
-    bodies += ["ab" * 5000, "aa" * 70_000 + "b"]
-    sparse = ["ab"] * 70_000
+    bodies = [b"aa" * n_docs for n_docs in (1, 63, 64, 65, 4095, 4096, 4097, 1 << 16, 70_000)]
+    bodies += [b"ab" * 5000, b"aa" * 70_000 + b"b"]
+    sparse = [b"ab"] * 70_000
     for d in _rng(25).sample(range(70_000), 3):
-        sparse[d] = "bb"
-    bodies.append("".join(sparse))
+        sparse[d] = b"bb"
+    bodies.append(b"".join(sparse))
     cases = []
     for body in bodies:
         ids: list[int] = []
-        assert scan(body, 0, 0, ids) == (len(ids), _folded(ids, 0, 0))
+        assert REFERENCE.layered_scan(kernel, body, 0, 0, ids) == (len(ids), _folded(ids, 0, 0))
         cases.append((body, ids))
     return args, cases
 
@@ -357,25 +384,28 @@ def _fold_cases():
 @pytest.mark.filterwarnings("error")
 def test_fold_indices_matches(other):
     args, cases = _fold_cases()
-    ours = other.make_layered_scan(*args)
+    kernel = other.make_layered_scan(*args)
     for body, ids in cases:
         for k, (checksum, base) in enumerate(FOLD_STARTS):
             expected = (len(ids), _folded(ids, checksum, base))
             if k % 2:
-                assert ours(body, checksum, base) == expected, (len(body), k)
+                assert other.layered_scan(kernel, body, checksum, base) == expected, (len(body), k)
                 continue
             collected: list[int] = []
-            assert ours(body, checksum, base, collected) == expected, (len(body), k)
+            assert other.layered_scan(kernel, body, checksum, base, collected) == expected, (
+                len(body),
+                k,
+            )
             assert collected == [base + i for i in ids]
 
 
 def test_fold_indices_frozen_oracle():
     # One-character documents matching iff "b": documents 0, 1 and 3 of "bbab".
-    scan = REFERENCE.make_layered_scan([[2, 2, 2], [1, 2, 2]], 0, 0b10, 1)
-    assert scan("aa", 77, 5) == (0, 77)
+    kernel = REFERENCE.make_layered_scan([[2, 2, 2], [1, 2, 2]], 0, 0b10, 1)
+    assert REFERENCE.layered_scan(kernel, b"aa", 77, 5) == (0, 77)
     ids: list[int] = []
     expected = fold_checksum(fold_checksum(fold_checksum(9, 10), 11), 13)
-    assert scan("bbab", 9, 10, ids) == (3, expected)
+    assert REFERENCE.layered_scan(kernel, b"bbab", 9, 10, ids) == (3, expected)
     assert ids == [10, 11, 13]
 
 
@@ -570,9 +600,10 @@ def test_delegates_to_reports_the_defining_class():
     assert delegates_to(words, "bareiss_rank") == "reference"
     assert delegates_to(words, "mat_mul") == "reference"
     assert delegates_to(words, "max_bilinear") == "reference"
-    # The extraction scan: numpy owns it, words inherits it.
-    assert delegates_to(words, "make_layered_scan") == "reference"
-    assert delegates_to(BACKEND_CLASSES["numpy"](), "make_layered_scan") == "numpy"
+    # The extraction check and scan: numpy owns them, words inherits them.
+    for method in ("find_foreign", "make_layered_scan", "layered_scan"):
+        assert delegates_to(words, method) == "reference"
+        assert delegates_to(BACKEND_CLASSES["numpy"](), method) == "numpy"
     with pytest.raises(AttributeError):
         delegates_to(words, "not_a_kernel")
 
@@ -616,9 +647,12 @@ def test_cext_delegation_rules():
     assert CextBackend.mat_mul is ReferenceBackend.mat_mul
     assert CextBackend.max_bilinear is ReferenceBackend.max_bilinear
     assert CextBackend.make_binary_step is ReferenceBackend.make_binary_step
-    # The extraction scan stays the reference walk; it expands its accept
-    # mask with self.bit_indices, so the C kernel still runs inside it.
+    # The extraction check and scan stay the reference ones; the walk
+    # expands its accept mask with self.bit_indices, so the C kernel
+    # still runs inside it.
+    assert CextBackend.find_foreign is ReferenceBackend.find_foreign
     assert CextBackend.make_layered_scan is ReferenceBackend.make_layered_scan
+    assert CextBackend.layered_scan is ReferenceBackend.layered_scan
 
 
 @pytest.mark.skipif("cext" not in available_backends(), reason="cext not built")

@@ -326,15 +326,17 @@ class TestChunkBoundaries:
 #: Chunks of 4-character documents that put one foreign character in the
 #: head (finishing a carried document), the body (whole documents: once
 #: in a phase column that also holds a ``b``, once alone, as in
-#: ``"aaac" + "aaaa" * 3``), the tail (starting a carried document) or a
-#: chunk that only extends the carried document, with its offset in the
-#: last chunk.
+#: ``"aaac" + "aaaa" * 3``), the tail (starting a carried document), a
+#: chunk that only extends the carried document, or a chunk after three
+#: whole documents that are still deferred, with its offset in the last
+#: chunk.
 FOREIGN_PLACEMENTS = {
     "head": (["ab", "a{}abab"], 1),
     "body-with-b": (["aaab" * 2 + "aaa{}" + "aaaa"], 11),
     "body": (["aaa{}" + "aaaa" * 3], 3),
     "tail": (["abab" * 2 + "a{}"], 9),
     "carry-only": (["abab" + "a", "a{}"], 1),
+    "after-deferred": (["abab" + "ab", "ab" + "abba", "aa{}b"], 2),
 }
 
 
@@ -358,6 +360,84 @@ def test_foreign_characters_raise_a_typed_error(backend, placement, char):
     if state.carry:
         with pytest.raises(ValueError, match="mid-document"):
             scanner.finish(state)
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_foreign_character_after_deferred_documents(backend):
+    # The rejected chunk leaves the deferred documents as they were, and
+    # the stream without it still finishes exactly.
+    chunks, offset = FOREIGN_PLACEMENTS["after-deferred"]
+    *head, last = [chunk.format("c") for chunk in chunks]
+    spec = StreamSpec(c=2, w=1, columns=(1, 2), n_docs=0)
+    with use_backend(backend):
+        scanner = StreamScanner(scanner_for_spec(spec), collect_ids=True)
+    expected = scanner.scan_chunks(head)
+    assert (expected["docs"], expected["matches"]) == (3, 2)
+    state = scanner.new_state()
+    for chunk in head:
+        scanner.feed(state, chunk)
+    assert (state.docs_done, len(state.deferred), state.carry) == (0, 12, "")
+    before = dataclasses.replace(
+        state, match_ids=list(state.match_ids), deferred=bytes(state.deferred)
+    )
+    with pytest.raises(ReproError, match=f"'c' at offset {offset}"):
+        scanner.feed(state, last)
+    assert state == before
+    assert scanner.finish(state) == expected
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_one_kernel_call_per_slice_or_finish(backend, monkeypatch):
+    from repro.backend.reference import SCAN_SLICE
+
+    with use_backend(backend):
+        small = StreamScanner(scanner_for_spec(SPEC), collect_ids=True)
+        expected = small.scan_chunks([SPEC.text()])
+        wide_spec = StreamSpec(c=1, w=1, columns=(1,), n_docs=2 * SCAN_SLICE + 7, seed=3)
+        wide = StreamScanner(scanner_for_spec(wide_spec), collect_ids=True)
+        wide_expected = wide.scan_chunks([wide_spec.text()])
+    calls: list[int] = []
+    kernel_backend = small._backend
+    layered_scan = kernel_backend.layered_scan
+
+    def counted(kernel, body, *args):
+        calls.append(len(body))
+        return layered_scan(kernel, body, *args)
+
+    monkeypatch.setattr(kernel_backend, "layered_scan", counted)
+    # Up to 8 chunks below a slice, with empty and 1-character chunks and
+    # cuts inside documents: every one is only checked and deferred, and
+    # finish makes the one call.
+    text = SPEC.text()
+    rng = random.Random(0x5CA1)
+    for _ in range(20):
+        at = rng.randrange(len(text))
+        cuts = sorted([*rng.choices(range(1, len(text)), k=rng.randint(0, 4)), at, at, at + 1])
+        bounds = [0, *cuts, len(text)]
+        chunks = [text[a:b] for a, b in zip(bounds, bounds[1:])]
+        assert "" in chunks and text[at] in chunks and len(chunks) <= 8
+        state = small.new_state()
+        for chunk in chunks:
+            small.feed(state, chunk)
+        assert calls == [] and state.docs_done == 0, chunks
+        assert small.finish(state) == expected
+        assert calls == [len(text)]
+        calls.clear()
+    # A chunk of a whole slice or more is scanned during its own feed.
+    text = wide_spec.text()
+    slice_chars = SCAN_SLICE * wide_spec.doc_len
+    state = wide.new_state()
+    wide.feed(state, text[:slice_chars])
+    assert (state.docs_done, calls) == (SCAN_SLICE, [slice_chars])
+    wide.feed(state, text[slice_chars : slice_chars + 1])  # a carried character
+    assert state.docs_done == SCAN_SLICE
+    # The carried document is finished from the head of the next such
+    # chunk and scanned alone; the rest of the chunk is scanned in place.
+    wide.feed(state, text[slice_chars + 1 :])
+    assert state.docs_done == wide_spec.n_docs and state.deferred == b""
+    assert calls == [slice_chars, 2, len(text) - slice_chars - 2]
+    assert wide.finish(state) == wide_expected
+    assert len(calls) == 3
 
 
 @pytest.mark.skipif("numpy" not in available_backends(), reason="numpy is not importable")
@@ -420,13 +500,15 @@ class TestOracles:
         assert batched["match_ids"] == semantic["match_ids"]
         assert naive["match_ids"] == [i for i in semantic["match_ids"] if i < 30]
 
-    def test_randomized_chunkings_property(self):
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_randomized_chunkings_property(self, backend):
         rng = random.Random(0xE11)
         reference = scan_stream(SPEC, chunk_chars=SPEC.total_chars, collect_ids=True)
         scanner_src = scanner_for_spec(SPEC)
         text = SPEC.text()
         for _ in range(25):
-            scanner = StreamScanner(scanner_src, collect_ids=True)
+            with use_backend(backend):
+                scanner = StreamScanner(scanner_src, collect_ids=True)
             state = scanner.new_state()
             pos = 0
             while pos < len(text):
@@ -601,7 +683,7 @@ class TestBackendRouting:
         with use_backend("reference"):
             scanner = StreamScanner(compiled)
             # Scanners of one compiled query share one kernel.
-            assert StreamScanner(compiled)._scan is scanner._scan
+            assert StreamScanner(compiled)._kernel is scanner._kernel
         with use_backend("words"):
             result = scanner.scan_chunks([SPEC.text()])
             assert get_backend().name == "words"
