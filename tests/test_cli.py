@@ -7,6 +7,24 @@ import pytest
 from repro.cli import build_parser, main
 
 
+@pytest.fixture(autouse=True)
+def _isolated_cache(tmp_path, monkeypatch):
+    """Engine-backed commands (``sizes``, ``zoo``) cache under ``tmp_path``,
+    never under the user's ``~/.cache/repro``, where stale results could
+    also let them pass."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+
+def test_engine_commands_leave_home_untouched(tmp_path, monkeypatch):
+    home = tmp_path / "home"
+    home.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    assert main(["sizes", "--max-exp", "3"]) == 0
+    assert main(["zoo", "--max-n", "2"]) == 0
+    assert list(home.iterdir()) == []
+    assert (tmp_path / "cache" / "runs.jsonl").exists()
+
+
 class TestSizes:
     def test_runs_and_prints_table(self, capsys):
         assert main(["sizes", "--max-exp", "4"]) == 0

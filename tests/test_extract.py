@@ -13,12 +13,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
+import re
 import tracemalloc
+from itertools import combinations, product
 
 import pytest
 
+from repro.automata.packed import PackedDFA
 from repro.backend import available_backends, get_backend, use_backend
-from repro.errors import JobFailedError, ReproError
+from repro.errors import AutomatonError, JobFailedError, ReproError
 from repro.extract import (
     StreamScanner,
     StreamSpec,
@@ -31,7 +34,7 @@ from repro.extract import (
     semantic_scan,
 )
 from repro.extract import spec as spec_module
-from repro.extract.compile import column_relation_nfa
+from repro.extract.compile import _compile_scanner_cached, _phase_layers, column_relation_nfa
 from repro.spanners import (
     column_match_cfg,
     column_relation_cfg,
@@ -43,7 +46,7 @@ from repro.spanners import (
 )
 from repro.words.alphabet import AB
 from repro.words.ops import all_words
-from tests.legacy_extract import legacy_document
+from tests.legacy_extract import legacy_compile, legacy_document
 
 SPEC = StreamSpec(c=3, w=1, columns=(1, 3), n_docs=40, seed=5, match_bias=0.3)
 
@@ -261,6 +264,155 @@ class TestCompile:
             column_relation_nfa(2, 1, (1,), ())
         with pytest.raises(ReproError):
             column_relation_nfa(2, 1, (1,), (("aa", "a"),))
+
+    def test_repeated_pairs_collapse(self):
+        once = compile_scanner(2, 1, [1], [("a", "a")])
+        twice = compile_scanner(2, 1, [1], [("a", "a")] * 2)
+        assert twice is once
+        assert twice.pairs == (("a", "a"),)
+        assert twice.to_key() == ("scanner", 2, 1, (1,), (("a", "a"),))
+        assert twice.nfa_states == column_relation_nfa(2, 1, [1], [("a", "a")] * 2).n_states == 5
+
+    @pytest.mark.parametrize(
+        "c,w,name",
+        [(True, 1, "c"), (2, False, "w"), (2.0, 1, "c"), (2, "1", "w"), (None, 1, "c")],
+        ids=["bool-c", "bool-w", "float-c", "str-w", "none-c"],
+    )
+    def test_non_int_sizes_raise(self, c, w, name):
+        with pytest.raises(ReproError, match=f"{name} must be an int"):
+            compile_scanner(c, w, [1], [("a", "a")])
+
+    @pytest.mark.parametrize("c,w", [(0, 1), (2, 0), (-1, 2)])
+    def test_sizes_below_one_raise(self, c, w):
+        with pytest.raises(ReproError, match="need c >= 1"):
+            compile_scanner(c, w, [1], [("a" * max(w, 1), "a" * max(w, 1))])
+
+    @pytest.mark.parametrize("columns", [(), (0,), (3,), (1, 3)], ids=str)
+    def test_columns_outside_the_row_raise(self, columns):
+        with pytest.raises(ReproError, match=r"subset of \[1, 2\]"):
+            compile_scanner(2, 1, columns, [("a", "a")])
+
+    def test_empty_pairs_raise(self):
+        with pytest.raises(ReproError, match="pairs must be non-empty"):
+            compile_scanner(2, 1, [1], [])
+
+    @pytest.mark.parametrize("pair", [("aa", "a"), ("a", ""), ("ab", "ab")])
+    def test_pairs_of_the_wrong_width_raise(self, pair):
+        with pytest.raises(ReproError, match="is not width 1"):
+            compile_scanner(2, 1, [1], [pair])
+
+    @pytest.mark.parametrize("pair,symbol", [(("c", "a"), "c"), (("ab", "a?"), "?")])
+    def test_foreign_pair_symbols_raise(self, pair, symbol):
+        with pytest.raises(AutomatonError, match=re.escape(f"symbol {symbol!r}")):
+            compile_scanner(2, len(pair[0]), [1], [pair])
+
+    @pytest.mark.parametrize(
+        "tables,accepting,length,message",
+        [
+            ([[1, 2, 3, 3], [3, 2, 3, 3]], {1, 2}, 2, "accepting state 1 at interior phase 1"),
+            ([[1, 3, 4, 3, 3], [2, 3, 3, 3, 3]], {4}, 2, "state 1 at phase 1 is a second dead"),
+            ([[1, 3, 3, 3], [2, 3, 3, 3]], {1}, 1, "state 2 at phase 1 does not accept"),
+            ([[0, 2, 2], [1, 2, 2]], {1}, 1, "3 states reached after 2 symbols"),
+            ([[1, 2, 1], [1, 2, 1]], {1}, 1, "state 2, reached after every word, is not a dead"),
+            ([[1, 2, 2, 2], [2, 2, 2, 2]], {1}, 1, "at two phases or at none"),
+            ([[1, -1, 2], [2, 2, 2]], {1}, 1, "complete DFA"),
+        ],
+        ids=["interior-accept", "second-dead", "final-reject", "too-long", "no-sink",
+             "unreachable", "partial"],
+    )
+    def test_phase_check_refuses_unlayered_dfas(self, tables, accepting, length, message):
+        mask = sum(1 << q for q in accepting)
+        dfa = PackedDFA(AB, len(tables[0]), tables, 0, mask)
+        with pytest.raises(ReproError, match=message):
+            _phase_layers(dfa, length)
+
+
+def _constraint_grid():
+    """Every c <= 4 and w <= 2 (and w = 3 at c <= 3), both relations, every column subset."""
+    for c in range(1, 5):
+        for w in (1, 2, 3) if c <= 3 else (1, 2):
+            for relation in ("match", "leq"):
+                for size in range(1, c + 1):
+                    for cols in combinations(range(1, c + 1), size):
+                        yield c, w, cols, relation_pairs(relation, w)
+
+
+def _random_constraint(seed: int):
+    """A seeded constraint whose pairs are a random subset of all value pairs."""
+    rng = random.Random(seed)
+    w = rng.randint(1, 3)
+    c = rng.randint(1, 4 if w < 3 else 3)
+    cols = tuple(sorted(rng.sample(range(1, c + 1), rng.randint(1, c))))
+    values = ["".join(v) for v in product("ab", repeat=w)]
+    every = [(x, y) for x in values for y in values]
+    return c, w, cols, tuple(rng.sample(every, rng.randint(1, len(every))))
+
+
+def _fields(scanner) -> dict:
+    """The compiled fields ``legacy_compile`` reports."""
+    return {
+        "dfa": scanner.dfa.to_key(),
+        "det_states": scanner.det_states,
+        "n_states": scanner.n_states,
+        "nfa_states": scanner.nfa_states,
+        "sink": scanner.sink,
+        "layers": scanner.layers,
+    }
+
+
+class TestCompileOracle:
+    """The chain-mask compile against the old route: the chain NFA packed and
+    run through the general ``packed_fixed_length_minimal``, plus the old
+    sink and phase checks (``tests/legacy_extract.py``)."""
+
+    def test_exhaustive_grid(self):
+        specs = list(_constraint_grid())
+        assert len(specs) == 126
+        for c, w, cols, pairs in specs:
+            assert _fields(compile_scanner(c, w, cols, pairs)) == legacy_compile(
+                c, w, cols, pairs
+            ), (c, w, cols, pairs)
+
+    def test_random_pair_subsets(self):
+        for seed in range(200):
+            c, w, cols, pairs = _random_constraint(seed)
+            assert _fields(compile_scanner(c, w, cols, pairs)) == legacy_compile(
+                c, w, cols, pairs
+            ), seed
+
+    @pytest.mark.parametrize(
+        "relation,cols,n_states,det_states",
+        [
+            ("match", (1, 3), 139, 149),
+            ("leq", (2, 5), 93, 143),
+            ("leq", (1, 3, 4), 201, 471),
+            ("match", (1, 2, 3, 4, 5), 3419, 4101),
+        ],
+    )
+    def test_extract_scan_queries(self, relation, cols, n_states, det_states):
+        """The c=5, w=2 standing queries of perfbench's extract-scan."""
+        pairs = relation_pairs(relation, 2)
+        scanner = compile_scanner(5, 2, cols, pairs)
+        assert (scanner.n_states, scanner.det_states) == (n_states, det_states)
+        assert scanner.nfa_states == len(cols) * len(pairs) * 21
+        assert _fields(scanner) == legacy_compile(5, 2, cols, pairs)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_same_compile_under_every_backend(self, backend):
+        specs = [
+            (5, 2, (1, 3), relation_pairs("match", 2)),
+            (5, 2, (1, 2, 3, 4, 5), relation_pairs("match", 2)),
+            (4, 2, (1, 2, 3, 4), relation_pairs("leq", 2)),
+            *(_random_constraint(seed) for seed in range(10)),
+        ]
+        expected = [_fields(compile_scanner(*spec)) for spec in specs]
+        with use_backend(backend):
+            _compile_scanner_cached.cache_clear()
+            for spec, fields in zip(specs, expected):
+                assert _fields(compile_scanner(*spec)) == fields == legacy_compile(*spec), (
+                    backend,
+                    spec,
+                )
 
 
 # ----------------------------------------------------------------------
